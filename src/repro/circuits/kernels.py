@@ -148,10 +148,10 @@ def _registry_window(registry: VariableRegistry) -> Tuple[Any, int]:
 
     Unregistered slots hold NaN so batched consumers can detect them and
     fall back to the scalar lookup.  The array is cached on the registry
-    keyed by window length; a slot registered *in place* after caching
-    (a ``None`` hole filled without growing the list) shows up as a
-    stale NaN, which only costs the fallback — registered probabilities
-    never change, so a cached non-NaN entry is always current.
+    until its next probability write: ``VariableRegistry`` drops the
+    cache whenever it stores or clears an atom probability (new
+    registrations, ``set_distribution``/``set_boolean`` rewrites,
+    ``remove_variable``), so a cached window is always current.
     """
     np = require_numpy()
     probs = registry._atom_probs

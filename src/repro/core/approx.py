@@ -196,10 +196,6 @@ class _PendingChild:
     def effective_bounds(self) -> Bounds:
         return self.weight * self.lower, self.weight * self.upper
 
-    def effective_lower_point(self) -> Bounds:
-        low = self.weight * self.lower
-        return low, low
-
     def is_exact(self) -> bool:
         return self.lower == self.upper
 
@@ -294,47 +290,6 @@ class _Frame:
         else:  # root: single child, store directly
             self.acc_lower, self.acc_upper = low, high
 
-    def _raw_bounds(self, child: Optional[Bounds], at_lower: bool) -> Bounds:
-        """Node bounds from accumulator + explicit child + open siblings.
-
-        ``pending[0]`` is always skipped: it is either the current leaf
-        (interval supplied via ``child``) or the subtree of the frame above
-        (ditto).  ``at_lower`` pins the remaining open siblings to their
-        lower bound — the Lemma 5.11 worst case, whose aggregate is the
-        (lower, lower) pair of the cached heuristic aggregate.
-        """
-        rest_low, rest_up = self._rest_aggregate()
-        if at_lower:
-            rest_up = rest_low
-        if self.kind == _OR:
-            low_c, up_c = self.acc_lower, self.acc_upper
-            if child is not None:
-                low_c *= 1.0 - child[0]
-                up_c *= 1.0 - child[1]
-            return 1.0 - low_c * rest_low, 1.0 - up_c * rest_up
-        if self.kind == _AND:
-            low_a, up_a = self.acc_lower, self.acc_upper
-            if child is not None:
-                low_a *= child[0]
-                up_a *= child[1]
-            return low_a * rest_low, up_a * rest_up
-        if self.kind == _XOR:
-            low_s, up_s = self.acc_lower, self.acc_upper
-            if child is not None:
-                low_s += child[0]
-                up_s += child[1]
-            return min(1.0, low_s + rest_low), min(1.0, up_s + rest_up)
-        # root: identity on the single child
-        if child is not None:
-            return child
-        return self.acc_lower, self.acc_upper
-
-    def combine(self, child: Optional[Bounds], at_lower: bool) -> Bounds:
-        low, high = self._raw_bounds(child, at_lower)
-        if self.weight != 1.0:
-            return self.weight * low, self.weight * high
-        return low, high
-
     def combine_both(
         self,
         heur_low: float,
@@ -344,10 +299,16 @@ class _Frame:
     ) -> Tuple[float, float, float, float]:
         """One walk step computing both check modes at once.
 
+        Node bounds come from the accumulator, the explicit child
+        interval, and the open siblings.  ``pending[0]`` is always
+        skipped: it is either the current leaf or the subtree of the
+        frame above, whose interval arrives as the child argument.
         ``(heur_low, heur_up)`` propagates with open siblings at their
         heuristic bounds (the Prop. 5.8 termination check);
         ``(worst_low, worst_up)`` with open siblings pinned to their lower
-        bounds (the Lemma 5.11 closing check).
+        bounds — the Lemma 5.11 worst case (closing check), whose sibling
+        aggregate is the (lower, lower) pair of the cached heuristic
+        aggregate.
         """
         rest_low, rest_up = self._rest_aggregate()
         kind = self.kind
@@ -565,14 +526,6 @@ def approximate_probability(
             [_PendingChild(root_dnf, root_lower, root_upper, reduced=True)],
         )
     ]
-
-    def global_bounds(current: Bounds, at_lower: bool) -> Bounds:
-        """Propagate the current leaf's interval up to the root."""
-        value: Optional[Bounds] = current
-        for frame in reversed(stack):
-            value = frame.combine(value, at_lower)
-        assert value is not None
-        return value
 
     def global_bounds_both(
         current: Bounds,

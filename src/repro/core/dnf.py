@@ -258,10 +258,6 @@ class DNF:
                     continue
         return DNF(product)
 
-    def conjoin_clause(self, clause: Clause) -> "DNF":
-        """Conjunction with a single clause."""
-        return self.conjoin(DNF((clause,)))
-
     # ------------------------------------------------------------------
     # Semantics
     # ------------------------------------------------------------------

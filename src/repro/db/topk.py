@@ -14,20 +14,17 @@ machinery behind ``ConfidenceEngine.compute_many`` and the session
 façade's ``QueryResult.bounds()``; the refinement loop itself lives
 there.  The preferred entry point is
 ``ProbDB(database).query(cq).top_k(k)``
-(:class:`repro.db.session.ProbDB`); :func:`top_k_answers` remains as a
-deprecated free-function shim.
+(:class:`repro.db.session.ProbDB`).
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Hashable, List, Optional, Sequence, Tuple
 
 from ..core.dnf import DNF
-from ..core.orders import VariableSelector
-from ..core.variables import VariableRegistry, variable_name
+from ..core.variables import variable_name
 
-__all__ = ["rank_answers", "top_k_answers", "RankedAnswer"]
+__all__ = ["rank_answers", "RankedAnswer"]
 
 #: Default global work ceiling when neither the call nor the engine's
 #: :class:`~repro.engine.EngineConfig` bounds the ranking.
@@ -129,27 +126,21 @@ def rank_answers(
 
     # ε = 0: refinement drives every interval toward the exact value;
     # the separation check below stops as soon as the ranking is proven.
-    batch = engine.refine_many(
+    # Leaving the block releases a sharded batch's reference to the
+    # engine-lifetime worker pool; the pool stays warm on the engine
+    # for the next ranking until ``engine.close()`` (or GC) retires it.
+    with engine.refine_many(
         [dnf for _values, dnf in answers],
         epsilon=0.0,
         initial_steps=initial_steps,
         step_growth=step_growth,
         workers=workers,
         executor_kind=executor_kind,
-    )
-    try:
+    ) as batch:
         return _rank_batch(
             batch, answers, k, max_total_steps, separation,
             guided=guided is None or guided,
         )
-    finally:
-        # Release a sharded batch's reference to the engine-lifetime
-        # worker pool.  The pool itself survives on the engine (warm
-        # for the next ranking); ``engine.close()`` retires it, with a
-        # GC finalizer as the backstop for throwaway engines.
-        close = getattr(batch, "close", None)
-        if close is not None:
-            close()
 
 
 def _refinement_circuit(batch, index):
@@ -306,45 +297,3 @@ def _rank_batch(batch, answers, k, max_total_steps, separation,
 
     order.sort(key=sort_key)
     return [ranked(index) for index in order[:k]]
-
-
-def top_k_answers(
-    answers: Sequence[Answer],
-    registry: VariableRegistry,
-    k: int,
-    *,
-    choose_variable: Optional[VariableSelector] = None,
-    initial_steps: int = 4,
-    step_growth: int = 2,
-    max_total_steps: int = 200_000,
-    separation: float = 0.0,
-    engine=None,
-) -> List[RankedAnswer]:
-    """Deprecated shim: use ``ProbDB(...).query(cq).top_k(k)`` instead.
-
-    Delegates to :func:`rank_answers` — the session path behind
-    ``QueryResult.top_k`` — preserving the historical signature and
-    results exactly.
-    """
-    warnings.warn(
-        "top_k_answers() is deprecated; use "
-        "ProbDB(database).query(query).top_k(k) or "
-        "repro.db.topk.rank_answers(engine, answers, k)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if engine is None:
-        from ..engine import ConfidenceEngine
-
-        engine = ConfidenceEngine(
-            registry, epsilon=0.0, choose_variable=choose_variable
-        )
-    return rank_answers(
-        engine,
-        answers,
-        k,
-        initial_steps=initial_steps,
-        step_growth=step_growth,
-        max_total_steps=max_total_steps,
-        separation=separation,
-    )

@@ -60,15 +60,18 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import heapq
 import pickle
 import threading
 from concurrent.futures import BrokenExecutor
+from contextlib import contextmanager
 from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
     Hashable,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -77,7 +80,7 @@ from typing import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .engine_parallel import ShardedBatchComputation, WorkerPool
+    from .engine_parallel import WorkerPool
 
 from .circuits.circuit import Circuit
 from .circuits.compiler import CircuitCompilationStats
@@ -456,11 +459,11 @@ def _wants_exact_circuit(result: "EngineResult") -> bool:
 
     Exact answers — the trivial/read-once rungs, and an ``ε = 0``
     converged d-tree run — compile fully; everything else gets a
-    node-budgeted partial compile.  One definition shared by the serial
-    attach path (:meth:`ConfidenceEngine._attach_circuit`) and the
-    sharded shipping path
-    (:meth:`~repro.engine_parallel.ShardedBatchComputation.compile_final_circuits`),
-    so the two cannot disagree on what a worker should compile.
+    node-budgeted partial compile.  One definition shared by the
+    coordinator's attach path (:meth:`ConfidenceEngine._attach_circuit`)
+    and a sharded batch's worker compile round
+    (:meth:`BatchComputation.compile_final_circuits`), so the two cannot
+    disagree on what a worker should compile.
     """
     return result.strategy in ("trivial", "read-once") or (
         result.strategy == "dtree"
@@ -477,10 +480,10 @@ def _merge_refined(
     Certified intervals never regress: a re-run cut short (e.g. by an
     expired deadline) may report wider bounds than the previous round
     already proved; keep the intersection, which is sound because both
-    intervals contain the true probability.  Shared by the serial
-    (:meth:`BatchComputation.refine`) and sharded
-    (:mod:`repro.engine_parallel`) refinement paths — the bit-identity
-    contract between them depends on this being one piece of code.
+    intervals contain the true probability.  Applied by every
+    :class:`BatchComputation` round — inline or sharded — and by the
+    circuit-refine path, so the bit-identity contract between one and
+    many shards rests on one piece of code.
     """
     if previous.lower > result.lower:
         result.lower = previous.lower
@@ -625,9 +628,32 @@ class BatchComputation:
     lineage fold each other's finished subtrees in one step.
 
     Consumers drive the loop with their own stopping rule: ε-convergence
-    (:meth:`ConfidenceEngine.compute_many`), ranking separation
-    (:func:`repro.db.topk.rank_answers`), or the caller's patience
-    (``QueryResult.bounds()``).
+    (:meth:`ConfidenceEngine.compute_many`, via :meth:`run`), ranking
+    separation (:func:`repro.db.topk.rank_answers`), or the caller's
+    patience (``QueryResult.bounds()``).
+
+    Parameters mirror :meth:`ConfidenceEngine.refine_many`, plus:
+
+    workers, executor_kind:
+        Pool size and ``"process"``/``"thread"`` executor (engine-config
+        kind when ``None``).  The batch runs ``shards = min(workers,
+        len(lineages))`` ways.  With one shard every round computes
+        inline on the coordinating engine; with more, rounds are dealt
+        across the engine-lifetime
+        :class:`~repro.engine_parallel.WorkerPool` (see
+        :mod:`repro.engine_parallel` for the schedule and the
+        determinism argument) and each :meth:`step` refines up to one
+        tuple per shard.
+    run_to_guarantee:
+        When true, the initial pass gives every tuple its *full*
+        per-call budget (``max_steps``, else the engine config's cap,
+        possibly unbounded) instead of ``initial_steps`` — one task per
+        shard, after which :meth:`run` has nothing left to arbitrate.
+
+    A sharded batch never calls the coordinating engine for d-tree work
+    except circuit-refine rounds; :meth:`close` (or leaving a ``with``
+    block) drops the batch's reference to the pool, which stays warm on
+    the engine until ``ConfidenceEngine.close()``.
     """
 
     __slots__ = (
@@ -641,6 +667,13 @@ class BatchComputation:
         "budgets",
         "results",
         "total_steps",
+        "workers",
+        "executor_kind",
+        "shards",
+        "worker_stats",
+        "_single_pass",
+        "_shard_config",
+        "_pool",
         "_started",
     )
 
@@ -655,6 +688,9 @@ class BatchComputation:
         step_growth: Optional[int] = None,
         max_steps: Optional[int] = None,
         deadline_seconds: Optional[float] = None,
+        workers: int = 1,
+        executor_kind: Optional[str] = None,
+        run_to_guarantee: bool = False,
     ) -> None:
         config = engine.config
         self.engine = engine
@@ -667,6 +703,8 @@ class BatchComputation:
         self.step_growth = (
             config.step_growth if step_growth is None else step_growth
         )
+        # The refinement cap is the *argument*; the engine-config
+        # max_steps applies per compute call, not here.
         self.max_steps = max_steps
         self.deadline_seconds = (
             config.deadline_seconds
@@ -678,16 +716,50 @@ class BatchComputation:
             lineage.to_dnf() if isinstance(lineage, Formula) else lineage
             for lineage in lineages
         ]
-        self.budgets: List[int] = [
-            self._capped(initial_steps) for _ in self.dnfs
-        ]
+        self.executor_kind = (
+            config.executor_kind if executor_kind is None else executor_kind
+        )
+        if self.executor_kind not in ("process", "thread"):
+            raise ValueError(
+                "executor_kind must be 'process' or 'thread', got "
+                f"{self.executor_kind!r}"
+            )
+        self.workers = max(1, int(workers))
+        self.shards = max(1, min(self.workers, len(self.dnfs)))
+        # Workers never recurse into sharding, never sample (MC is
+        # finalized on the coordinator, deterministic under rng_seed),
+        # and never compile circuits mid-refinement (round results are
+        # replaced, and payloads stay small); final-answer circuits
+        # are compiled in one dedicated round and shipped back
+        # serialized (compile_final_circuits).
+        self._shard_config = (
+            config.replace(
+                workers=1, mc_fallback=False, max_total_steps=None,
+                compile_circuits=False,
+            )
+            if self.shards > 1
+            else None
+        )
+        self._pool: Optional["WorkerPool"] = None
+        #: Latest cache stats per worker (shard id for threads, pid for
+        #: processes) — the ingredients of :meth:`cache_stats`.
+        self.worker_stats: Dict[object, Dict[str, int]] = {}
+        self._single_pass = run_to_guarantee
+        self.budgets: List[Optional[int]]
+        if run_to_guarantee:
+            # Full per-call budget, resolved the way compute() would:
+            # the explicit argument, else the engine config's cap.
+            full = config.max_steps if max_steps is None else max_steps
+            self.budgets = [full] * len(self.dnfs)
+        else:
+            self.budgets = [
+                self._capped(initial_steps) for _ in self.dnfs
+            ]
         self.total_steps = 0
-        self.results: List[EngineResult] = []
-        for index in range(len(self.dnfs)):
-            result = self._compute(index)
-            self.results.append(result)
-            self.total_steps += result.steps
+        self.results: List[EngineResult] = [None] * len(self.dnfs)  # type: ignore[list-item]
+        self._run_round(list(range(len(self.dnfs))), initial=True)
 
+    # -- budget / deadline bookkeeping -----------------------------------
     def _capped(self, budget: int) -> int:
         if self.max_steps is not None:
             return min(budget, self.max_steps)
@@ -702,6 +774,186 @@ class BatchComputation:
     def out_of_time(self) -> bool:
         remaining = self.remaining_seconds()
         return remaining is not None and remaining <= 0.0
+
+    def converged(self) -> bool:
+        """Has every tuple certified the requested guarantee?"""
+        return all(result.converged for result in self.results)
+
+    def refinable(
+        self, indices: Optional[Sequence[int]] = None
+    ) -> List[int]:
+        """Indices that can still make progress (unconverged, budget
+        headroom left; a tuple that already ran unbounded has none)."""
+        if indices is None:
+            indices = range(len(self.dnfs))
+        max_steps = self.max_steps
+        out = []
+        for index in indices:
+            if self.results[index].converged:
+                continue
+            budget = self.budgets[index]
+            if budget is None or (
+                max_steps is not None and budget >= max_steps
+            ):
+                continue
+            out.append(index)
+        return out
+
+    def widest(self, indices: Optional[Sequence[int]] = None) -> Optional[int]:
+        """The refinable tuple with the widest certified interval."""
+        candidates = self.refinable(indices)
+        if not candidates:
+            return None
+        return max(candidates, key=lambda index: self.results[index].width())
+
+    def __len__(self) -> int:
+        return len(self.dnfs)
+
+    # -- refinement ------------------------------------------------------
+    def refine(self, index: int) -> EngineResult:
+        """Grow ``index``'s budget and tighten it (cache-resumed).
+
+        When a budgeted run left a refinable partial circuit behind —
+        this batch's own expansion progress, or the session cache via
+        :attr:`ConfidenceEngine.circuit_source` (including circuits
+        reloaded from a persisted store in a fresh process) — the round
+        expands the widest residual leaf in place on the coordinator
+        (strategy ``"circuit-refine"``) instead of re-running the
+        ε-approximation from scratch.  Otherwise it recomputes with a
+        ``step_growth``-times larger budget.
+
+        ``total_steps`` tracks the *latest* run's step count per tuple —
+        the shared cache makes a re-run resume rather than repeat, so
+        summing across rounds would double-count folded subtrees.
+        """
+        self._refine([index])
+        return self.results[index]
+
+    def step(self, indices: Optional[Sequence[int]] = None) -> Optional[int]:
+        """One refinement round; the widest index, or ``None`` when
+        nothing is refinable.
+
+        Takes the (up to) ``shards`` widest refinable tuples — from
+        ``indices`` when given, ties kept in that order — and refines
+        them in one round, widest first.  With one shard that is
+        exactly :meth:`refine` on :meth:`widest`.
+        """
+        candidates = self.refinable(indices)
+        if not candidates:
+            return None
+        chosen = heapq.nsmallest(
+            self.shards,
+            candidates,
+            key=lambda index: -self.results[index].width(),
+        )
+        self._refine(chosen)
+        return chosen[0]
+
+    def run(
+        self, max_total_steps: Optional[int] = None
+    ) -> List[EngineResult]:
+        """Refine until convergence, budget exhaustion, or deadline.
+
+        The initial pass already ran in the constructor; this is the
+        round loop :meth:`ConfidenceEngine.compute_many` drives (MC
+        finalization stays with the engine).  A ``run_to_guarantee``
+        batch already gave every tuple its full budget, so there is
+        nothing left to arbitrate.
+        """
+        if self._single_pass:
+            return self.results
+        while (
+            not self.converged()
+            and (
+                max_total_steps is None
+                or self.total_steps < max_total_steps
+            )
+            and not self.out_of_time()
+        ):
+            if self.step() is None:
+                break
+        return self.results
+
+    def _refine(self, indices: List[int]) -> None:
+        """Grow each tuple's budget; resume cached partial circuits in
+        place, and recompute the rest in one round."""
+        rerun = []
+        for index in indices:
+            budget = self.budgets[index]
+            if budget is not None:
+                self.budgets[index] = self._capped(
+                    budget * self.step_growth
+                )
+            if not self._circuit_refine(index):
+                rerun.append(index)
+        if rerun:
+            self._run_round(rerun)
+
+    def _circuit_refine(self, index: int) -> bool:
+        """Expand ``index``'s resumable partial circuit, if any; ``False``
+        when there is none or the expansion stalled (node budget too
+        tight to make progress on this leaf), so the caller falls back
+        to the classic re-run and the driver loop always advances."""
+        previous = self.results[index]
+        circuit = resumable_circuit(
+            self.engine, self.dnfs[index], previous.circuit
+        )
+        if circuit is None:
+            return False
+        node_budget = self.budgets[index]
+        if node_budget is None:
+            node_budget = max(previous.steps, 64)
+        result = _circuit_refine_result(
+            self.engine,
+            self.dnfs[index],
+            circuit,
+            previous,
+            node_budget,
+            self.epsilon,
+            self.error_kind,
+        )
+        if (
+            not result.converged
+            and result.steps == previous.steps
+            and result.width() >= previous.width()
+        ):
+            return False
+        self.results[index] = result
+        self.total_steps += result.steps - previous.steps
+        return True
+
+    # -- round dispatch --------------------------------------------------
+    def _run_round(
+        self, indices: List[int], *, initial: bool = False
+    ) -> None:
+        """Compute ``indices`` at their current budgets and merge the
+        results in index order (monotonically, after the initial pass).
+
+        ``indices`` arrive pre-ordered — by index for the initial pass,
+        widest-first for refinement rounds — and merge order is by
+        index, independent of pool completion order, so a round is
+        deterministic.
+        """
+        if self.shards == 1:
+            computed = [(index, self._compute(index)) for index in indices]
+        else:
+            items = [
+                (index, self.dnfs[index], self.budgets[index])
+                for index in indices
+            ]
+            computed = []
+            for shard_results, *_ in self._parallel_round(items, False):
+                computed.extend(shard_results)
+            computed.sort(key=lambda pair: pair[0])
+        for index, result in computed:
+            if initial:
+                self.results[index] = result
+                self.total_steps += result.steps
+                continue
+            previous = self.results[index]
+            result = _merge_refined(previous, result)
+            self.results[index] = result
+            self.total_steps += result.steps - previous.steps
 
     def _compute(self, index: int) -> EngineResult:
         # MC fallback is deferred to the very end of a batch (see
@@ -720,93 +972,222 @@ class BatchComputation:
             compile_circuits=False,
         )
 
-    def converged(self) -> bool:
-        """Has every tuple certified the requested guarantee?"""
-        return all(result.converged for result in self.results)
-
-    def refinable(
-        self, indices: Optional[Sequence[int]] = None
-    ) -> List[int]:
-        """Indices that can still make progress (unconverged, budget
-        headroom left)."""
-        if indices is None:
-            indices = range(len(self.dnfs))
-        return [
-            index
-            for index in indices
-            if not self.results[index].converged
-            and (
-                self.max_steps is None
-                or self.budgets[index] < self.max_steps
-            )
+    def _parallel_round(
+        self,
+        items: List[Tuple[int, DNF, Optional[int]]],
+        compile_round: bool,
+    ) -> List[tuple]:
+        """Deal ``items`` round-robin across the shards and return every
+        shard's report (refinement results, or — with ``compile_round``
+        — serialized final circuits)."""
+        assignments: List[List[Tuple[int, DNF, Optional[int]]]] = [
+            [] for _ in range(self.shards)
         ]
-
-    def widest(self, indices: Optional[Sequence[int]] = None) -> Optional[int]:
-        """The refinable tuple with the widest certified interval."""
-        candidates = self.refinable(indices)
-        if not candidates:
-            return None
-        return max(candidates, key=lambda index: self.results[index].width())
-
-    def refine(self, index: int) -> EngineResult:
-        """Grow ``index``'s budget and tighten it (cache-resumed).
-
-        When a budgeted run left a refinable partial circuit behind —
-        this batch's own expansion progress, or the session cache via
-        :attr:`ConfidenceEngine.circuit_source` (including circuits
-        reloaded from a persisted store in a fresh process) — the round
-        expands the widest residual leaf in place (strategy
-        ``"circuit-refine"``) instead of re-running the ε-approximation
-        from scratch.  Otherwise it recomputes with a
-        ``step_growth``-times larger budget, as before.
-
-        ``total_steps`` tracks the *latest* run's step count per tuple —
-        the shared cache makes a re-run resume rather than repeat, so
-        summing across rounds would double-count folded subtrees.
-        """
-        self.budgets[index] = self._capped(
-            self.budgets[index] * self.step_growth
-        )
-        previous = self.results[index]
-        circuit = resumable_circuit(
-            self.engine, self.dnfs[index], previous.circuit
-        )
-        result: Optional[EngineResult] = None
-        if circuit is not None:
-            result = _circuit_refine_result(
-                self.engine,
-                self.dnfs[index],
-                circuit,
-                previous,
-                self.budgets[index],
-                self.epsilon,
-                self.error_kind,
+        for position, item in enumerate(items):
+            assignments[position % self.shards].append(item)
+        reports = []
+        with self._locked_round() as pool:
+            # Budget measured only after the lock is held: waiting out
+            # another batch's round (or a pool rebuild) must come out
+            # of THIS batch's wall-clock allowance, not be handed to
+            # the workers as compute time.
+            task_args: Tuple[object, ...] = (
+                ()
+                if compile_round
+                else (self.epsilon, self.error_kind, self.remaining_seconds())
             )
-            if (
-                not result.converged
-                and result.steps == previous.steps
-                and result.width() >= previous.width()
-            ):
-                # The expansion stalled (node budget too tight to make
-                # progress on this leaf): fall back to the classic
-                # re-run so the driver loop always advances.
-                result = None
-        if result is None:
-            result = _merge_refined(previous, self._compute(index))
-        self.results[index] = result
-        self.total_steps += result.steps - previous.steps
-        return result
+            try:
+                futures = [
+                    pool.submit(shard, shard_items, task_args, compile_round)
+                    for shard, shard_items in enumerate(assignments)
+                    if shard_items
+                ]
+            except (BrokenExecutor, RuntimeError):
+                # submit() raises only when the executor itself is
+                # broken or shut down — either way the pool is a
+                # corpse: evict it so the next batch builds fresh.
+                self._evict_pool()
+                raise
+            try:
+                for future in futures:
+                    report = future.result()
+                    # Every report ends with (cache stats, worker key).
+                    self.worker_stats[report[-1]] = report[-2]
+                    reports.append(report)
+            except BrokenExecutor:
+                # A worker died mid-task (OOM kill, segfault):
+                # permanent.  Errors raised *by* worker computation
+                # re-raise through result() without this handler — they
+                # must not cost a healthy pool its warm caches.
+                self._evict_pool()
+                raise
+        return reports
 
-    def step(self, indices: Optional[Sequence[int]] = None) -> Optional[int]:
-        """Refine the widest refinable tuple; its index, or ``None``."""
-        index = self.widest(indices)
-        if index is None:
-            return None
-        self.refine(index)
-        return index
+    def compile_final_circuits(self) -> int:
+        """One compile round on the warm workers; circuits ship back.
 
-    def __len__(self) -> int:
-        return len(self.dnfs)
+        Every final result still missing a circuit is dealt in index
+        order round-robin across the shards — the same deal as the
+        initial pass, so in the common case each lineage lands on a
+        worker whose cache already replayed it.  The worker compiles
+        it (exact or node-budgeted, mirroring the serial attach
+        policy) and serializes it with
+        :func:`repro.circuits.serialize.encode_circuit`; each shard
+        additionally ships one *union* slice of the decomposition-cache
+        cones its compiles walked (shared cones serialized once).
+        The coordinator decodes the circuits onto ``results`` and
+        merges the cache slices into its own
+        :class:`~repro.core.memo.DecompositionCache`, so the final
+        answers carry circuits with **zero cold decomposition steps on
+        the coordinator**.
+
+        Returns the number of circuits installed.  A one-shard batch
+        installs none: its coordinator cache is already warm, so
+        :meth:`ConfidenceEngine._attach_batch_circuits` replays it
+        directly.  Indices a worker could not serialize (payload
+        ``None``) are likewise left to that fallback.
+        """
+        if self.shards == 1:
+            return 0
+        items: List[Tuple[int, DNF, Optional[int]]] = []
+        for index, result in enumerate(self.results):
+            if result.circuit is not None:
+                continue
+            dnf = self.dnfs[index]
+            max_nodes = (
+                None
+                if _wants_exact_circuit(result)
+                else ConfidenceEngine._circuit_node_budget(
+                    result.steps, dnf
+                )
+            )
+            items.append((index, dnf, max_nodes))
+        if not items:
+            return 0
+        from .circuits.serialize import decode_circuit, merge_cache_slice
+
+        merged: List[Tuple[int, Optional[bytes]]] = []
+        slices: List[bytes] = []
+        for payloads, slice_bytes, *_ in self._parallel_round(items, True):
+            merged.extend(payloads)
+            if slice_bytes is not None:
+                slices.append(slice_bytes)
+        # Bind first so the merged slices survive the engine's next
+        # bind instead of being cleared as foreign-config entries.
+        cache = self.engine.bind_cache()
+        for slice_bytes in slices:
+            merge_cache_slice(slice_bytes, cache)
+        installed = 0
+        merged.sort(key=lambda payload: payload[0])
+        for index, circuit_bytes in merged:
+            if circuit_bytes is None:
+                continue
+            circuit, _key = decode_circuit(
+                circuit_bytes, self.engine.registry, validate=False
+            )
+            self.results[index].circuit = circuit
+            installed += 1
+        return installed
+
+    # -- worker pool plumbing (shards > 1) -------------------------------
+    def _ensure_pool(self) -> "WorkerPool":
+        """The engine's pool, re-validated every round.
+
+        Revalidation is two integer comparisons in the warm case; a
+        rebuild only happens when the pool cannot serve this batch —
+        wrong kind, too few workers, or (process pools) new atoms
+        interned since the snapshot was shipped.
+        """
+        from .engine_parallel import acquire_worker_pool
+
+        assert self._shard_config is not None
+        self._pool = acquire_worker_pool(
+            self.engine,
+            self.executor_kind,
+            self.shards,
+            self.workers,
+            self._shard_config,
+        )
+        return self._pool
+
+    @contextmanager
+    def _locked_round(self) -> Iterator["WorkerPool"]:
+        """Hold the pool's round lock around one parallel round.
+
+        Whole rounds serialize on the pool: concurrent batches on one
+        engine interleave rounds instead of racing the single-threaded
+        per-shard worker engines.  Between acquisition and locking, a
+        concurrent acquire may have displaced (and closed) our pool —
+        re-validate under the lock and re-acquire if so, instead of
+        submitting on a shut-down executor.
+        """
+        pool = self._ensure_pool()
+        for _attempt in range(8):
+            pool.round_lock.acquire()
+            if self.engine._worker_pools.get(self.executor_kind) is pool:
+                break
+            pool.round_lock.release()
+            pool = self._ensure_pool()
+        else:  # pragma: no cover - displacement storm
+            raise RuntimeError(
+                "worker pool kept being displaced by concurrent batches"
+            )
+        try:
+            yield pool
+        finally:
+            pool.round_lock.release()
+
+    def _evict_pool(self) -> None:
+        """Drop a broken pool from the engine so the next batch heals.
+
+        A crashed worker (OOM kill, segfault) breaks the executor for
+        good; without eviction every later batch on this engine would
+        inherit the corpse.  The current batch still surfaces the
+        error; the *next* batch simply builds a fresh pool.
+        """
+        pool = self._pool
+        self._pool = None
+        if pool is None:
+            return
+        with self.engine._pool_lock:
+            pools = self.engine._worker_pools
+            for kind, candidate in list(pools.items()):
+                if candidate is pool:
+                    del pools[kind]
+        # Called from inside this batch's own round (round_lock held
+        # by us), so closing here cannot yank the pool from under a
+        # concurrent round.
+        pool.close()
+
+    def close(self) -> None:
+        """Release this batch's reference to the engine's pool.
+
+        The pool itself stays alive on the engine (that amortization is
+        the point); shut it down with ``engine.close()`` when the
+        engine is retired, or rely on the GC finalizer.
+        """
+        self._pool = None
+
+    def __enter__(self) -> "BatchComputation":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def cache_stats(self) -> Dict[str, int]:
+        """Decomposition-cache counters: the coordinator's cache for a
+        one-shard batch, else aggregated across every worker seen so
+        far."""
+        if self.shards == 1:
+            return DecompositionCache.merge_stats([self.engine.cache.stats()])
+        return DecompositionCache.merge_stats(self.worker_stats.values())
+
+    def __repr__(self) -> str:
+        return (
+            f"BatchComputation({len(self.dnfs)} lineages, "
+            f"{self.shards} {self.executor_kind} shards, "
+            f"steps={self.total_steps})"
+        )
 
 
 class ConfidenceEngine:
@@ -1254,35 +1635,15 @@ class ConfidenceEngine:
         deadline_seconds: Optional[float] = None,
         workers: Optional[int] = None,
         executor_kind: Optional[str] = None,
-    ) -> "Union[BatchComputation, ShardedBatchComputation]":
+    ) -> BatchComputation:
         """An anytime :class:`BatchComputation` over ``lineages``.
 
         The caller drives refinement (``step()``/``refine()``) under its
         own stopping rule; :meth:`compute_many` is the run-to-guarantee
         driver, top-k and ``QueryResult.bounds()`` are the other two.
-
-        With ``workers > 1`` (argument or engine config) the returned
-        batch is a :class:`~repro.engine_parallel.ShardedBatchComputation`
-        — the same interface, refinement fanned out across a worker pool.
+        ``workers`` (argument, else engine config) > 1 fans the rounds
+        out across the engine's worker pool.
         """
-        lineages = list(lineages)
-        if workers is None:
-            workers = self.config.workers
-        if workers > 1 and len(lineages) > 1:
-            from .engine_parallel import ShardedBatchComputation
-
-            return ShardedBatchComputation(
-                self,
-                lineages,
-                workers=workers,
-                executor_kind=executor_kind,
-                epsilon=epsilon,
-                error_kind=error_kind,
-                initial_steps=initial_steps,
-                step_growth=step_growth,
-                max_steps=max_steps,
-                deadline_seconds=deadline_seconds,
-            )
         return BatchComputation(
             self,
             lineages,
@@ -1292,6 +1653,8 @@ class ConfidenceEngine:
             step_growth=step_growth,
             max_steps=max_steps,
             deadline_seconds=deadline_seconds,
+            workers=self.config.workers if workers is None else workers,
+            executor_kind=executor_kind,
         )
 
     def compute_many(
@@ -1346,50 +1709,7 @@ class ConfidenceEngine:
         )
         if workers is None:
             workers = config.workers
-        if workers > 1 and len(lineages) > 1:
-            from .engine_parallel import ShardedBatchComputation
-
-            batch = ShardedBatchComputation(
-                self,
-                lineages,
-                workers=workers,
-                executor_kind=executor_kind,
-                epsilon=epsilon,
-                error_kind=error_kind,
-                initial_steps=initial_steps,
-                step_growth=step_growth,
-                max_steps=max_steps,
-                deadline_seconds=deadline,
-                run_to_guarantee=max_total_steps is None,
-            )
-            try:
-                batch.run(max_total_steps=max_total_steps)
-                self._finalize_batch(batch)
-                if self.config.compile_circuits:
-                    # One final round on the (warm) workers: each
-                    # compiles its answers' circuits and ships them —
-                    # plus its decomposition-cache cone — back over
-                    # the serialization codec.  The coordinator never
-                    # re-decomposes; _attach_batch_circuits below is
-                    # only the fallback for unshippable entries.
-                    try:
-                        batch.compile_final_circuits()
-                    except BrokenExecutor:
-                        # The confidences are already complete; a pool
-                        # dying during this *optional* round must not
-                        # discard them.  The corpse was evicted inside
-                        # compile_final_circuits; the coordinator
-                        # compiles the missing circuits itself below.
-                        # Only BrokenExecutor is absorbed — any other
-                        # error (a worker-side compile bug, a missing
-                        # initializer) must surface, not silently
-                        # degrade every batch to serial compilation.
-                        pass
-                self._attach_batch_circuits(batch)
-                return list(batch.results)
-            finally:
-                batch.close()
-        if max_total_steps is None:
+        if max_total_steps is None and min(workers, len(lineages)) == 1:
             started = clock.monotonic()
             results = []
             for lineage in lineages:
@@ -1409,7 +1729,8 @@ class ConfidenceEngine:
                 )
             return results
 
-        batch = self.refine_many(
+        with BatchComputation(
+            self,
             lineages,
             epsilon=epsilon,
             error_kind=error_kind,
@@ -1417,29 +1738,46 @@ class ConfidenceEngine:
             step_growth=step_growth,
             max_steps=max_steps,
             deadline_seconds=deadline,
-        )
-        while (
-            not batch.converged()
-            and batch.total_steps < max_total_steps
-            and not batch.out_of_time()
-        ):
-            if batch.step() is None:
-                break
-        self._finalize_batch(batch)
-        self._attach_batch_circuits(batch)
-        return list(batch.results)
+            workers=workers,
+            executor_kind=executor_kind,
+            run_to_guarantee=max_total_steps is None,
+        ) as batch:
+            batch.run(max_total_steps=max_total_steps)
+            self._finalize_batch(batch)
+            if config.compile_circuits:
+                # Sharded batches compile on the (warm) workers in one
+                # final round, which ships the circuits — plus their
+                # decomposition-cache cones — back over the
+                # serialization codec, so the coordinator never
+                # re-decomposes; _attach_batch_circuits below covers a
+                # one-shard batch and any unshippable entries.
+                try:
+                    batch.compile_final_circuits()
+                except BrokenExecutor:
+                    # The confidences are already complete; a pool
+                    # dying during this *optional* round must not
+                    # discard them.  The corpse was evicted inside the
+                    # round; the coordinator compiles the missing
+                    # circuits itself below.  Only BrokenExecutor is
+                    # absorbed — any other error (a worker-side compile
+                    # bug, a missing initializer) must surface, not
+                    # silently degrade every batch to serial
+                    # compilation.
+                    pass
+            self._attach_batch_circuits(batch)
+            return list(batch.results)
 
-    def _attach_batch_circuits(self, batch) -> None:
+    def _attach_batch_circuits(self, batch: BatchComputation) -> None:
         """Compile circuits for a finished batch's final answers.
 
         Refinement rounds skip compilation — their results are
         replaced round over round — so the batch compiles once, here.
-        On the serial path this replays the decompositions the run
-        just cached (cheap).  On the sharded path the workers already
+        For a one-shard batch this replays the decompositions the run
+        just cached (cheap).  A sharded batch's workers already
         compiled and shipped the final circuits
-        (:meth:`~repro.engine_parallel.ShardedBatchComputation.compile_final_circuits`),
-        so this loop only covers entries the shipping round could not
-        serialize (e.g. unpicklable variable names on a thread pool).
+        (:meth:`BatchComputation.compile_final_circuits`), so this loop
+        only covers entries the shipping round could not serialize
+        (e.g. unpicklable variable names on a thread pool).
         """
         if not self.config.compile_circuits:
             return
@@ -1449,13 +1787,12 @@ class ConfidenceEngine:
                     result, batch.dnfs[index]
                 )
 
-    def _finalize_batch(self, batch) -> None:
+    def _finalize_batch(self, batch: BatchComputation) -> None:
         """Apply the MC rung to tuples whose batch budget ran out.
 
-        ``batch`` is a :class:`BatchComputation` or any object with its
-        interface (the sharded batches of :mod:`repro.engine_parallel`
-        qualify); MC always runs here, on the coordinating engine, so a
-        seeded run is deterministic regardless of shard assignment.
+        MC always runs here, on the coordinating engine, never on a
+        worker, so a seeded run is deterministic regardless of shard
+        assignment.
         """
         if not self._mc_applicable(
             batch.epsilon, batch.error_kind, self.config.mc_fallback

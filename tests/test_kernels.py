@@ -225,6 +225,30 @@ def test_clause_probability_batch_bit_identical():
         ]
 
 
+@needs_numpy
+def test_clause_probability_batch_sees_probability_updates():
+    # The batch reads a cached dense copy of the registry's probability
+    # window; an in-place rewrite (a probability UPDATE) must not leave
+    # it serving the old values.
+    registry = VariableRegistry.from_boolean_probabilities(
+        {f"kw{i}": 0.5 for i in range(4)}
+    )
+    clauses = [
+        Clause({f"kw{i}": True, f"kw{(i + 1) % 4}": True})
+        for i in range(4)
+    ]
+    assert clause_probability_batch(clauses, registry) == [0.25] * 4
+    registry.set_boolean("kw0", 0.9)
+    expected = [clause.probability(registry) for clause in clauses]
+    assert expected == [0.45, 0.25, 0.25, 0.45]
+    assert clause_probability_batch(clauses, registry) == expected
+    registry.remove_variable("kw1")
+    registry.add_boolean("kw1", 0.2)
+    assert clause_probability_batch(clauses, registry) == [
+        clause.probability(registry) for clause in clauses
+    ]
+
+
 @pytest.mark.parametrize("vectorized", [None, False])
 def test_bucket_partition_backend_invariant(vectorized):
     """Fig. 3 bounds are bit-identical whichever backend computed the

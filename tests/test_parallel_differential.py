@@ -1,7 +1,8 @@
 """Differential tests: sharded parallel execution vs the serial engine.
 
-The contract of :mod:`repro.engine_parallel` is that parallelism is an
-*execution* detail, never a semantics one:
+The contract of a sharded :class:`repro.engine.BatchComputation`
+(``workers > 1``) is that parallelism is an *execution* detail, never a
+semantics one:
 
 * exact strategies (trivial / read-once / converged ``ε = 0`` d-tree)
   return **bit-identical** probabilities, bounds, strategies, and
@@ -30,8 +31,7 @@ from repro.core.dnf import DNF
 from repro.core.events import Clause
 from repro.core.semantics import brute_force_probability
 from repro.core.variables import VariableRegistry
-from repro.engine import ConfidenceEngine, EngineConfig
-from repro.engine_parallel import ShardedBatchComputation
+from repro.engine import BatchComputation, ConfidenceEngine, EngineConfig
 
 # ----------------------------------------------------------------------
 # Case generation (seeded, shrinkable)
@@ -301,7 +301,7 @@ class TestShardedBatchMechanics:
         engine = ConfidenceEngine(
             registry, EngineConfig(**config_fields)
         )
-        batch = ShardedBatchComputation(
+        batch = BatchComputation(
             engine,
             dnfs,
             workers=workers,
@@ -360,7 +360,7 @@ class TestShardedBatchMechanics:
         registry, dnfs = make_group("pdm", 78, 3)
         engine = ConfidenceEngine(registry)
         with pytest.raises(ValueError, match="executor_kind"):
-            ShardedBatchComputation(
+            BatchComputation(
                 engine, dnfs, workers=2, executor_kind="fiber"
             )
 
@@ -375,7 +375,7 @@ class TestShardedBatchMechanics:
         # Construction runs the initial pass, which needs the executor —
         # so the picklability error surfaces directly from __init__.
         with pytest.raises(ValueError, match="picklable"):
-            ShardedBatchComputation(
+            BatchComputation(
                 engine, dnfs, workers=2, executor_kind="process"
             )
 

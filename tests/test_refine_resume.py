@@ -5,7 +5,7 @@ The acceptance surface of the format-v2 + refinement-unification work:
 - Format v2 stores carry each residual leaf's sub-DNF, so a reloaded
   partial circuit refines exactly like the in-memory original;
   format-v1 stores still load, read-only (sound bounds, no refinement).
-- ``BatchComputation.refine`` resumes a cached partial circuit
+- ``BatchComputation.refine``/``step`` resume a cached partial circuit
   (strategy ``"circuit-refine"``) instead of re-running the
   ε-approximation — with a warm decomposition cache the resume does
   *zero* cold decomposition work, proven by cache-stats deltas.
@@ -220,27 +220,31 @@ class TestCircuitRefine:
         result = batch.refine(0)
         assert result.strategy != "circuit-refine"
 
-    def test_sharded_refine_uses_cached_circuit(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("drive", ["refine", "step"])
+    def test_batch_round_resumes_cached_circuit(self, drive, workers):
+        # One scheduler for every shard count: refine() and step() both
+        # resume the session's cached partial circuit, inline or on a
+        # (thread) worker pool.
         engine, lineage = self._warm_engine()
-        batch = engine.refine_many(
+        with engine, engine.refine_many(
             [lineage, cycle_lineage(10)],
             epsilon=0.0,
             initial_steps=2,
             step_growth=2,
-            workers=2,
-        )
-        try:
+            workers=workers,
+            executor_kind="thread",
+        ) as batch:
             previous = batch.results[0]
-            if previous.converged:
-                pytest.skip("initial sharded round already converged")
-            result = batch.refine(0)
-            assert result.width() <= previous.width()
+            assert not previous.converged
+            if drive == "refine":
+                result = batch.refine(0)
+            else:
+                assert batch.step([0]) == 0
+                result = batch.results[0]
             assert result.strategy == "circuit-refine"
-        finally:
-            close = getattr(batch, "close", None)
-            if close is not None:
-                close()
-            engine.close()
+            assert result.lower >= previous.lower
+            assert result.upper <= previous.upper
 
 
 # ----------------------------------------------------------------------
