@@ -52,12 +52,7 @@ from typing import (
     Tuple,
 )
 
-from ..core.events import Clause
-from ..core.variables import (
-    VariableRegistry,
-    lookup_atom,
-    variable_name,
-)
+from ..core.variables import lookup_atom, variable_name
 from ..mc.dklr import MonteCarloResult, approximation_algorithm_estimate
 from .circuit import (
     KIND_ATOM,
@@ -77,7 +72,6 @@ __all__ = [
     "KernelUnavailableError",
     "circuit_kernel",
     "circuit_monte_carlo",
-    "clause_probability_batch",
     "kernel_backend",
     "numpy_available",
     "require_numpy",
@@ -138,80 +132,6 @@ def kernel_backend(vectorized: Optional[bool] = None) -> str:
             require_numpy()
         return BACKEND_SCALAR
     return BACKEND_NUMPY
-
-
-# ----------------------------------------------------------------------
-# Registry probability window
-# ----------------------------------------------------------------------
-def _registry_window(registry: VariableRegistry) -> Tuple[Any, int]:
-    """A dense float64 view of the registry's atom-probability window.
-
-    Unregistered slots hold NaN so batched consumers can detect them and
-    fall back to the scalar lookup.  The array is cached on the registry
-    until its next probability write: ``VariableRegistry`` drops the
-    cache whenever it stores or clears an atom probability (new
-    registrations, ``set_distribution``/``set_boolean`` rewrites,
-    ``remove_variable``), so a cached window is always current.
-    """
-    np = require_numpy()
-    probs = registry._atom_probs
-    cached = getattr(registry, "_kernel_prob_window", None)
-    if cached is not None and cached[0] == len(probs):
-        return cached[1], registry._atom_base
-    window = np.fromiter(
-        (float("nan") if prob is None else prob for prob in probs),
-        dtype=np.float64,
-        count=len(probs),
-    )
-    registry._kernel_prob_window = (len(probs), window)
-    return window, registry._atom_base
-
-
-def clause_probability_batch(
-    clauses: Sequence[Clause], registry: VariableRegistry
-) -> Optional[List[float]]:
-    """Batched :meth:`Clause.probability` over the dense prob window.
-
-    Returns ``None`` when numpy is unavailable (callers keep their
-    scalar loop).  Values are bit-identical to the scalar method: the
-    per-clause product multiplies atom probabilities left-to-right in
-    ``atom_ids`` order, and clauses touching atoms outside the dense
-    window (overflow/unregistered slots surface as NaN) re-run the
-    scalar method individually.
-    """
-    if _np is None:
-        return None
-    np = _np
-    window, base = _registry_window(registry)
-    size = window.shape[0]
-    out: List[float] = [1.0] * len(clauses)
-    by_arity: Dict[int, List[int]] = {}
-    for position, clause in enumerate(clauses):
-        arity = len(clause.atom_ids)
-        if arity:
-            by_arity.setdefault(arity, []).append(position)
-    for arity, positions in by_arity.items():
-        ids = np.array(
-            [clauses[position].atom_ids for position in positions],
-            dtype=np.int64,
-        )
-        index = ids - base
-        if size:
-            valid = (index >= 0) & (index < size)
-            gathered = window[np.clip(index, 0, size - 1)]
-            gathered[~valid] = np.nan
-        else:
-            gathered = np.full(index.shape, np.nan)
-        acc = gathered[:, 0].copy()
-        for column in range(1, arity):
-            acc *= gathered[:, column]
-        values = acc.tolist()
-        for row, position in enumerate(positions):
-            value = values[row]
-            if value != value:  # NaN: overflow or stale window slot
-                value = clauses[position].probability(registry)
-            out[position] = value
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -379,7 +379,6 @@ def approximate_probability(
     max_steps: Optional[int] = None,
     deadline_seconds: Optional[float] = None,
     cache: Optional[DecompositionCache] = None,
-    vectorized: Optional[bool] = None,
 ) -> ApproximationResult:
     """Compute an ε-approximation of ``P(Φ)`` with certified bounds.
 
@@ -410,10 +409,6 @@ def approximate_probability(
         omitted.  Shannon expansion revisits identical residual DNFs
         constantly, so even the per-call cache collapses most repeat
         subtrees into single folds.
-    vectorized:
-        Backend preference for the batched leaf-bounds clause marginals
-        (see :func:`repro.core.bounds.bucket_partition`); the bounds are
-        bit-identical either way.
 
     Returns
     -------
@@ -505,7 +500,6 @@ def approximate_probability(
                 registry,
                 sort_by_probability=sort_buckets,
                 allow_read_once_buckets=read_once_buckets,
-                vectorized=vectorized,
             )
             bounds_cache[leaf] = bounds
         return bounds
@@ -596,8 +590,10 @@ def approximate_probability(
             continue
 
         # Check 2 — may the current leaf be closed?  (Lemma 5.11 worst
-        # case: every other open leaf pinned to its lower bound.)
-        closing_allowed = allow_closing and not (
+        # case: every other open leaf pinned to its lower bound.)  Not at
+        # ε = 0: exact leaves have already folded above, and a rounded
+        # worst-case pair can compare equal on a non-point leaf.
+        closing_allowed = allow_closing and epsilon > 0 and not (
             frame.kind == _AND and frame.closed_incomplete
         )
         if closing_allowed:

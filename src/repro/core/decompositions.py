@@ -19,6 +19,7 @@
 
 from __future__ import annotations
 
+from math import gcd
 from typing import (
     Dict,
     FrozenSet,
@@ -140,19 +141,32 @@ def independent_and_factorization(dnf: DNF) -> Optional[List[DNF]]:
     candidate fails verification, in which case Shannon expansion remains
     available to the compiler).  Requires a subsumption-free, connected-or
     handled input for best results but is sound on any DNF.
+
+    Before any column work, a divisibility test rejects inputs that
+    cannot factor: when no variable occurs in all ``n`` clauses and some
+    variable's clause frequency ``f`` has ``gcd(f, n) = 1``, the answer
+    is ``None``.  Proof: in a verified ``Φ = F₁ ⊙ … ⊙ F_k`` a variable
+    of ``Fᵢ`` occurs ``freq_{Fᵢ}(v)·n/|Fᵢ|`` times, so either
+    ``n/|Fᵢ| ≥ 2`` divides both ``f`` and ``n``, or every other factor
+    is a single clause whose variables occur in all ``n`` clauses.
     """
     clauses = dnf.sorted_clauses()
-    if len(clauses) < 2:
+    clause_count = len(clauses)
+    if clause_count < 2:
         return None
     variables = sorted(dnf.variable_ids)
     if len(variables) < 2:
+        return None
+    frequencies = dnf.variable_id_frequencies().values()
+    if clause_count not in frequencies and any(
+        gcd(frequency, clause_count) == 1 for frequency in frequencies
+    ):
         return None
 
     # Column of each variable: atom id per clause, ``None`` when absent.
     # Distinctness of atom ids equals distinctness of bound values, and
     # integer columns hash far faster than arbitrary user values.  Built in
     # one pass over the clause atoms, O(size(Φ)).
-    clause_count = len(clauses)
     raw_columns: Dict[int, List[object]] = {
         vid: [None] * clause_count for vid in variables
     }

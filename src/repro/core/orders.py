@@ -66,6 +66,13 @@ def iq_variable_choice(
     lineage, so a small cap only matters for non-IQ inputs where ``None``
     (fallback to max frequency) is the right answer anyway.
 
+    Before the co-occurrence scans, a counting bound drops every capped
+    candidate ``x`` with ``freq(x)·(L−1) < |vars(Φ)| − |vars of R|``,
+    where ``L`` is the longest clause and ``R`` is ``x``'s relation.
+    Each of the ``freq(x)`` clauses holding ``x`` adds at most ``L−1``
+    other variables, too few to meet every variable outside ``R``; so
+    the first qualifying candidate is unchanged.
+
     Variables missing from ``relation_of`` disqualify the heuristic (we
     cannot establish the lemma's counting condition), and ``None`` is
     returned.
@@ -98,6 +105,12 @@ def iq_variable_choice(
                                      key=sort_key)
     else:
         candidates = sorted(variable_ids, key=sort_key)
+    partners = max(len(clause.variable_ids) for clause in dnf) - 1
+    candidates = [
+        vid for vid in candidates
+        if frequencies[vid] * partners
+        >= len(variable_ids) - total_counts[relation_by_id[vid]]
+    ]
     if not candidates:
         return None
 

@@ -302,9 +302,6 @@ class VariableRegistry:
     def _store_atom_prob(self, atom_id: int, prob: float) -> None:
         """Write one atom's probability into the array window (or the
         overflow dict when it lands outside the growth limit)."""
-        # Drop the kernels' dense copy of the window: in-place rewrites
-        # (probability UPDATEs) would leave it serving stale values.
-        self._kernel_prob_window = None
         probs = self._atom_probs
         if not probs and not self._atom_overflow:
             self._atom_base = atom_id
@@ -317,7 +314,6 @@ class VariableRegistry:
             probs[index] = prob
 
     def _clear_atom_prob(self, atom_id: int) -> None:
-        self._kernel_prob_window = None
         index = atom_id - self._atom_base
         if 0 <= index < len(self._atom_probs):
             self._atom_probs[index] = None

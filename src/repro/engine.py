@@ -177,7 +177,7 @@ class EngineConfig:
         order, and shard assignment.
     vectorized:
         Kernel backend policy for the numpy-vectorized paths (scenario
-        sweeps, circuit Monte-Carlo sampling, batched leaf bounds).
+        sweeps and circuit Monte-Carlo sampling).
         ``None`` (default) auto-selects: numpy when importable, the
         pure-Python scalar sweeps otherwise — results are bit-identical
         either way.  ``False`` forces scalar (the differential-testing
@@ -1432,7 +1432,6 @@ class ConfidenceEngine:
             max_steps=max_steps,
             deadline_seconds=deadline_seconds,
             cache=self.cache,
-            vectorized=config.vectorized,
         )
         if outcome.converged or not self._mc_applicable(
             epsilon, error_kind, mc_enabled
@@ -1564,7 +1563,6 @@ class ConfidenceEngine:
             sort_buckets=config.sort_buckets,
             read_once_buckets=config.read_once_buckets,
             stats=stats,
-            vectorized=config.vectorized,
         )
 
     def bind_cache(self) -> DecompositionCache:

@@ -4,11 +4,14 @@ import random
 
 import pytest
 
+from repro import ProbDB
 from repro.core.approx import ABSOLUTE, RELATIVE, approximate_probability
 from repro.core.dnf import DNF
 from repro.core.events import Clause
 from repro.core.semantics import brute_force_probability
 from repro.core.variables import VariableRegistry
+from repro.datasets.tpch import TPCHConfig, generate_tpch
+from repro.datasets.tpch_queries import make_query
 
 
 def random_instance(seed, variables=8, max_clauses=10):
@@ -101,6 +104,21 @@ class TestGuarantees:
         truth = brute_force_probability(dnf, reg)
         result = approximate_probability(dnf, reg, epsilon=0.0)
         assert result.estimate == pytest.approx(truth)
+
+    def test_exact_run_ends_on_a_point(self):
+        # At ε = 0 the Lemma 5.11 closing rule used to close non-point
+        # leaves such as [0.9999999999999999, 1.0] (the rounded
+        # worst-case pair compares equal), ending one ulp wide and
+        # unconverged on this TPC-H IQ 6 lineage.
+        database = generate_tpch(TPCHConfig(scale_factor=0.05, seed=500016))
+        with ProbDB(database) as session:
+            ((_answer, dnf),) = session.query(make_query("IQ 6")).lineage()
+            registry = session.engine.registry
+            result = approximate_probability(dnf, registry, epsilon=0.0)
+            exact = session.engine.compile_circuit(dnf).evaluate()
+        assert result.converged
+        assert result.lower == result.upper == result.estimate
+        assert result.estimate == pytest.approx(exact, abs=1e-12)
 
 
 class TestDegenerateInputs:

@@ -179,3 +179,46 @@ class TestSoundness:
         )
         _lower, upper = independent_bounds(dnf, reg)
         assert upper <= 1.0
+
+
+def test_leaf_bounds_see_probability_updates():
+    # Leaf bounds read the registry's live atom probabilities: an
+    # in-place rewrite (a probability UPDATE) or a remove + re-add must
+    # show up in the very next partition, with no stale copy of the
+    # window served in between.  Eight clauses: d-tree leaves have 8-47,
+    # the sizes at which leaf bounds once read a cached numpy copy.
+    names = [f"kw{i}" for i in range(8)]
+
+    def ring(registry):
+        dnf = DNF(
+            Clause({names[i]: True, names[(i + 1) % 8]: True})
+            for i in range(8)
+        )
+        return bucket_partition(dnf, registry), independent_bounds(
+            dnf, registry
+        )
+
+    def fresh(probabilities):
+        return ring(VariableRegistry.from_boolean_probabilities(
+            dict(zip(names, probabilities))
+        ))
+
+    registry = VariableRegistry.from_boolean_probabilities(
+        {name: 0.5 for name in names}
+    )
+    partition, bounds = ring(registry)
+    assert partition.probabilities == [0.68359375, 0.68359375]
+    registry.set_boolean("kw0", 0.9)
+    partition, bounds = ring(registry)
+    expected_partition, expected_bounds = fresh([0.9] + [0.5] * 7)
+    assert partition.probabilities == expected_partition.probabilities
+    assert partition.buckets == expected_partition.buckets
+    assert bounds == expected_bounds
+    assert max(partition.probabilities) > 0.68359375
+    registry.remove_variable("kw1")
+    registry.add_boolean("kw1", 0.2)
+    partition, bounds = ring(registry)
+    expected_partition, expected_bounds = fresh([0.9, 0.2] + [0.5] * 6)
+    assert partition.probabilities == expected_partition.probabilities
+    assert partition.buckets == expected_partition.buckets
+    assert bounds == expected_bounds

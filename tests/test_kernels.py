@@ -35,7 +35,6 @@ from repro.circuits.kernels import (
     CircuitSampler,
     KernelUnavailableError,
     circuit_monte_carlo,
-    clause_probability_batch,
     kernel_backend,
     numpy_available,
 )
@@ -46,7 +45,6 @@ from repro.circuits.sweep import (
     sweep_values,
     what_if_scenarios,
 )
-from repro.core.bounds import bucket_partition, independent_bounds
 from repro.core.dnf import DNF
 from repro.core.events import Clause
 from repro.core.semantics import brute_force_probability
@@ -211,59 +209,6 @@ def test_evaluate_batch_matches_point_evaluate():
         values = kernel.evaluate_batch(matrix)
         expected = circuit.evaluate()
         assert list(values) == [expected] * 3
-
-
-@needs_numpy
-def test_clause_probability_batch_bit_identical():
-    registry, dnfs = make_group("kc", 37, 12)
-    for dnf in dnfs:
-        clauses = dnf.sorted_clauses()
-        batched = clause_probability_batch(clauses, registry)
-        assert batched is not None
-        assert batched == [
-            clause.probability(registry) for clause in clauses
-        ]
-
-
-@needs_numpy
-def test_clause_probability_batch_sees_probability_updates():
-    # The batch reads a cached dense copy of the registry's probability
-    # window; an in-place rewrite (a probability UPDATE) must not leave
-    # it serving the old values.
-    registry = VariableRegistry.from_boolean_probabilities(
-        {f"kw{i}": 0.5 for i in range(4)}
-    )
-    clauses = [
-        Clause({f"kw{i}": True, f"kw{(i + 1) % 4}": True})
-        for i in range(4)
-    ]
-    assert clause_probability_batch(clauses, registry) == [0.25] * 4
-    registry.set_boolean("kw0", 0.9)
-    expected = [clause.probability(registry) for clause in clauses]
-    assert expected == [0.45, 0.25, 0.25, 0.45]
-    assert clause_probability_batch(clauses, registry) == expected
-    registry.remove_variable("kw1")
-    registry.add_boolean("kw1", 0.2)
-    assert clause_probability_batch(clauses, registry) == [
-        clause.probability(registry) for clause in clauses
-    ]
-
-
-@pytest.mark.parametrize("vectorized", [None, False])
-def test_bucket_partition_backend_invariant(vectorized):
-    """Fig. 3 bounds are bit-identical whichever backend computed the
-    clause marginals (the partition feeds exact d-tree leaf bounds)."""
-    registry, dnfs = make_group("kq", 41, 15)
-    for dnf in dnfs:
-        partition = bucket_partition(
-            dnf, registry, vectorized=vectorized
-        )
-        reference = bucket_partition(dnf, registry, vectorized=False)
-        assert partition.probabilities == reference.probabilities
-        assert partition.buckets == reference.buckets
-        assert independent_bounds(
-            dnf, registry, vectorized=vectorized
-        ) == independent_bounds(dnf, registry, vectorized=False)
 
 
 # ----------------------------------------------------------------------
@@ -459,7 +404,6 @@ def test_vectorized_true_without_numpy_raises(monkeypatch):
     assert "repro[fast]" in message and "vectorized" in message
     # Auto mode degrades silently instead.
     assert EngineConfig().describe()["kernel_backend"] == BACKEND_SCALAR
-    assert clause_probability_batch([], None) is None
 
 
 def test_sweeps_degrade_without_numpy(monkeypatch):

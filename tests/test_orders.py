@@ -1,5 +1,7 @@
 """Tests for Shannon variable-order heuristics (incl. Lemma 6.8)."""
 
+import random
+
 import pytest
 
 from repro.core.dnf import DNF
@@ -81,6 +83,81 @@ class TestIQChoice:
         assert (
             iq_variable_choice(dnf, relation_of, max_candidates=0) is None
         )
+
+
+def lemma_6_8_reference(dnf, relation_of, max_candidates=None):
+    """Brute-force Lemma 6.8 pivot: the first candidate in the capped
+    frequency order whose co-occurring variables hold every variable of
+    every other relation (``None`` without full provenance or with a
+    single relation)."""
+    names = dnf.variables
+    if not names or any(name not in relation_of for name in names):
+        return None
+    if len({relation_of[name] for name in names}) < 2:
+        return None
+    frequencies = dnf.variable_frequencies()
+    order = sorted(names, key=lambda name: (-frequencies[name], repr(name)))
+    if max_candidates is not None:
+        order = order[:max_candidates]
+    for candidate in order:
+        occurring = set()
+        for clause in dnf:
+            if candidate in clause.variables:
+                occurring |= clause.variables
+        others = {
+            name for name in names
+            if relation_of[name] != relation_of[candidate]
+        }
+        if others <= occurring:
+            return candidate
+    return None
+
+
+def random_relational_lineage(rng):
+    """Lineage of a random multi-relation join: each clause binds one
+    tuple variable of each relation it touches, so clause lengths and
+    frequencies vary the way the counting bound cares about."""
+    relations = "RST"[: rng.randint(2, 3)]
+    pools = {
+        relation: [f"{relation.lower()}{i}" for i in range(rng.randint(1, 5))]
+        for relation in relations
+    }
+    clauses = []
+    for _ in range(rng.randint(1, 12)):
+        touched = rng.sample(relations, rng.randint(1, len(relations)))
+        clauses.append({rng.choice(pools[r]): True for r in touched})
+    relation_of = {
+        name: relation for relation, pool in pools.items() for name in pool
+    }
+    return DNF.from_sets(clauses), relation_of
+
+
+class TestIQChoiceReference:
+    """``iq_variable_choice`` agrees with the brute-force Lemma 6.8 scan,
+    so the counting bound that drops candidates early never changes
+    the chosen pivot."""
+
+    @pytest.mark.parametrize("max_candidates", [None, 1, 3, 25])
+    def test_random_relational_lineage(self, max_candidates):
+        rng = random.Random(68)
+        found = 0
+        for _ in range(300):
+            dnf, relation_of = random_relational_lineage(rng)
+            expected = lemma_6_8_reference(dnf, relation_of, max_candidates)
+            assert iq_variable_choice(
+                dnf, relation_of, max_candidates=max_candidates
+            ) == expected
+            found += expected is not None
+        assert found > 0
+
+    @pytest.mark.parametrize("x_count,y_count", [(1, 4), (3, 3), (5, 2), (6, 6)])
+    def test_iq_lineage_succeeds(self, x_count, y_count):
+        dnf, relation_of = iq_lineage(x_count, y_count)
+        expected = lemma_6_8_reference(dnf, relation_of, 25)
+        assert expected is not None
+        assert iq_variable_choice(
+            dnf, relation_of, max_candidates=25
+        ) == expected
 
 
 class TestCompositeSelector:

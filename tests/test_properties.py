@@ -8,7 +8,7 @@ brute-force possible-worlds semantics.
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.approx import RELATIVE, approximate_probability
@@ -68,6 +68,46 @@ def instances(draw, max_clauses=8):
     return DNF(clauses), registry
 
 
+@st.composite
+def products(draw):
+    """A (Φ, registry, factors) triple: Φ is the conjunction of 2–3
+    variable-disjoint, subsumption-free DNFs of 1–3 clauses each.
+
+    Single-clause factors put their variables in every clause of Φ —
+    the case the ⊙ divisibility test must let through.  With at most
+    three clauses per factor, any two non-constant columns of one
+    factor are coupled, so the ⊙ search is complete on these inputs and
+    must find a factorization.
+    """
+    factors = []
+    for index in range(draw(st.integers(min_value=2, max_value=3))):
+        names = [f"p{index}_{i}" for i in range(3)]
+        clauses = []
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            variables = draw(
+                st.lists(
+                    st.sampled_from(names), min_size=1, max_size=3,
+                    unique=True,
+                )
+            )
+            polarities = draw(
+                st.lists(
+                    st.booleans(),
+                    min_size=len(variables),
+                    max_size=len(variables),
+                )
+            )
+            clauses.append(Clause(dict(zip(variables, polarities))))
+        factors.append(DNF(clauses).remove_subsumed())
+    product = factors[0]
+    for factor in factors[1:]:
+        product = product.conjoin(factor)
+    registry = VariableRegistry.from_boolean_probabilities(
+        {name: 0.5 for name in product.variables}
+    )
+    return product, registry, factors
+
+
 COMMON = dict(
     max_examples=60,
     deadline=None,
@@ -121,6 +161,23 @@ class TestDecompositions:
         assert equivalent_on_registry(
             dnf.remove_subsumed(), rebuilt, registry
         )
+
+    @given(products())
+    @settings(**COMMON)
+    def test_and_factorization_finds_products(self, triple):
+        dnf, registry, generators = triple
+        assume(len(dnf) >= 2)  # a single clause is a leaf, never ⊙-split
+        factors = independent_and_factorization(dnf)
+        assert factors is not None
+        assert len(factors) >= len(generators)
+        seen = set()
+        for factor in factors:
+            assert not (factor.variables & seen)
+            seen |= factor.variables
+        rebuilt = factors[0]
+        for factor in factors[1:]:
+            rebuilt = rebuilt.conjoin(factor)
+        assert equivalent_on_registry(dnf, rebuilt, registry)
 
     @given(instances())
     @settings(**COMMON)
