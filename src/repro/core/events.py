@@ -21,6 +21,7 @@ while the public API continues to speak in the original variable names.
 
 from __future__ import annotations
 
+from collections import abc
 from typing import (
     Dict,
     FrozenSet,
@@ -120,7 +121,7 @@ class Clause:
         atoms: Iterable[Atom] | Mapping[Hashable, Hashable] = (),
     ) -> None:
         byvar: Dict[int, Tuple[int, Hashable]] = {}
-        if isinstance(atoms, Mapping):
+        if isinstance(atoms, abc.Mapping):
             for variable, value in atoms.items():
                 atom_id, var_id = intern_atom(variable, value)
                 existing = byvar.get(var_id)

@@ -9,15 +9,17 @@ probability problem.
 The AST is deliberately small: :class:`AtomNode`, :class:`AndNode`,
 :class:`OrNode` plus the constants.  ``to_dnf`` distributes conjunctions
 over disjunctions (worst-case exponential, as unavoidable), dropping
-inconsistent clauses.
+inconsistent clauses.  Relational lineage is almost always a disjunction
+of conjunctions of atoms; such a conjunction becomes one clause directly,
+and a disjunction collects its children's clauses into one set.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Mapping, Sequence, Tuple
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .dnf import DNF
-from .events import Atom, Clause
+from .events import Atom, Clause, InconsistentClauseError
 from .variables import VariableRegistry
 
 __all__ = [
@@ -50,6 +52,11 @@ class Formula:
     # -- interface -------------------------------------------------------
     def to_dnf(self) -> DNF:
         raise NotImplementedError
+
+    def _clauses(self) -> Iterable[Clause]:
+        """The clauses of :meth:`to_dnf` (overridden where they come
+        cheaper than a whole DNF)."""
+        return self.to_dnf().clauses
 
     def evaluate(self, world: Mapping[Hashable, Hashable]) -> bool:
         raise NotImplementedError
@@ -116,7 +123,10 @@ class AtomNode(Formula):
         raise AttributeError("AtomNode is immutable")
 
     def to_dnf(self) -> DNF:
-        return DNF((Clause((self.atom,)),))
+        return DNF(self._clauses())
+
+    def _clauses(self) -> Iterable[Clause]:
+        return (Clause((self.atom,)),)
 
     def evaluate(self, world: Mapping[Hashable, Hashable]) -> bool:
         return world.get(self.atom.variable) == self.atom.value
@@ -168,12 +178,22 @@ class AndNode(_NaryNode):
     __slots__ = ()
 
     def to_dnf(self) -> DNF:
+        return DNF(self._clauses())
+
+    def _clauses(self) -> Iterable[Clause]:
+        children = self.children
+        if all(isinstance(child, AtomNode) for child in children):
+            # A conjunction of atoms is one clause, or false on conflict.
+            try:
+                return (Clause([child.atom for child in children]),)
+            except InconsistentClauseError:
+                return ()
         result = DNF.true()
-        for child in self.children:
+        for child in children:
             result = result.conjoin(child.to_dnf())
             if result.is_false():
-                return result
-        return result
+                break
+        return result.clauses
 
     def evaluate(self, world: Mapping[Hashable, Hashable]) -> bool:
         return all(child.evaluate(world) for child in self.children)
@@ -188,10 +208,13 @@ class OrNode(_NaryNode):
     __slots__ = ()
 
     def to_dnf(self) -> DNF:
-        result = DNF.false()
+        return DNF(self._clauses())
+
+    def _clauses(self) -> Iterable[Clause]:
+        clauses: set = set()
         for child in self.children:
-            result = result.union(child.to_dnf())
-        return result
+            clauses.update(child._clauses())
+        return clauses
 
     def evaluate(self, world: Mapping[Hashable, Hashable]) -> bool:
         return any(child.evaluate(world) for child in self.children)

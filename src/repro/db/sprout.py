@@ -22,8 +22,12 @@ This module reproduces that operator:
   - a fully bound subgoal contributes the probability that at least one
     matching row is present.
 
-The recursion mirrors SPROUT's safe plans: its cost is polynomial in the
-data (each level partitions the remaining rows by the root value).  A
+The recursion mirrors SPROUT's safe plans, and so does its cost: each
+subgoal's rows are filtered once per query (constants, repeated
+variables, local selections) and grouped by the head-variable values, so
+an answer reads its rows by key; the recursion then partitions once per
+level, splitting each member's rows by the root value in one pass.  Row
+probabilities are computed only for rows some answer reaches.  A
 non-hierarchical query (or one with self-joins) is rejected with
 :class:`UnsafeQueryError` — that is precisely when the d-tree algorithm is
 needed.
@@ -31,11 +35,12 @@ needed.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from operator import itemgetter
+from typing import Dict, Hashable, List, Sequence, Set, Tuple
 
 from ..core.formulas import AtomNode, Formula, TrueNode
 from ..core.variables import VariableRegistry
-from .cq import Const, ConjunctiveQuery, SubGoal, Var
+from .cq import ConjunctiveQuery, Row, SubgoalPlan, group_rows
 from .database import Database
 from .engine import evaluate
 
@@ -58,78 +63,77 @@ def _row_probability(lineage: Formula, registry: VariableRegistry) -> float:
     )
 
 
-class _Goal:
-    """A subgoal with its candidate rows, filtered as variables bind."""
+#: A subgoal and its candidate rows as ``(values, probability)`` pairs.
+_Goal = Tuple[SubgoalPlan, List[Tuple[Tuple[Hashable, ...], float]]]
 
-    __slots__ = ("terms", "rows")
+
+class _Candidates:
+    """One subgoal's filtered rows, grouped by head-variable values."""
+
+    __slots__ = ("step", "groups", "priced", "registry")
 
     def __init__(
         self,
-        terms: Sequence,
-        rows: List[Tuple[Tuple[Hashable, ...], float]],
+        step: SubgoalPlan,
+        rows: Sequence[Row],
+        registry: VariableRegistry,
     ) -> None:
-        self.terms = tuple(terms)
-        self.rows = rows
+        self.step = step
+        self.registry = registry
+        self.groups = group_rows(step.rows(rows, select=True), step.group_key)
+        self.priced: Dict[
+            Tuple[Hashable, ...], List[Tuple[Tuple[Hashable, ...], float]]
+        ] = {}
 
-    def unbound_variables(self, binding: Dict[Var, Hashable]) -> Set[Var]:
-        return {
-            term
-            for term in self.terms
-            if isinstance(term, Var) and term not in binding
-        }
+    def goal(self, answer: Tuple[Hashable, ...]) -> _Goal:
+        """The subgoal with the rows matching ``answer``'s head values."""
+        key = self.step.answer_key(answer)
+        priced = self.priced.get(key)
+        if priced is None:
+            registry = self.registry
+            priced = self.priced[key] = [
+                (values, _row_probability(lineage, registry))
+                for values, lineage in self.groups.get(key, ())
+            ]
+        return self.step, priced
 
-    def restrict(self, var: Var, value: Hashable) -> "_Goal":
-        positions = [
-            position
-            for position, term in enumerate(self.terms)
-            if term == var
-        ]
-        rows = [
-            row
-            for row in self.rows
-            if all(row[0][position] == value for position in positions)
-        ]
-        return _Goal(self.terms, rows)
 
-    def values_of(self, var: Var) -> Set[Hashable]:
-        positions = [
-            position
-            for position, term in enumerate(self.terms)
-            if term == var
-        ]
-        position = positions[0]
-        return {row[0][position] for row in self.rows}
+def _miss(rows: List[Tuple[Tuple[Hashable, ...], float]]) -> float:
+    """Probability that none of the (independent) rows is present."""
+    miss = 1.0
+    for _values, row_probability in rows:
+        miss *= 1.0 - row_probability
+    return miss
 
 
 def _group_probability(
-    goals: List[_Goal], binding: Dict[Var, Hashable], depth: int
+    goals: List[_Goal], bound: Set[int], names: Sequence[str]
 ) -> float:
-    """Probability of a connected group of subgoals (all must match)."""
-    # Split into connected components on the *unbound* variables.
-    unbound_sets = [goal.unbound_variables(binding) for goal in goals]
+    """Probability of a connected group of subgoals (all must match).
 
+    ``bound`` holds the slots already fixed (head variables and the roots
+    eliminated above); ``names`` maps slots to variable names.
+    """
     # Fully bound goals are independent of everything else.
     probability = 1.0
     open_goals: List[_Goal] = []
-    open_vars: List[Set[Var]] = []
-    for goal, unbound in zip(goals, unbound_sets):
+    open_vars: List[Set[int]] = []
+    for goal in goals:
+        unbound = {slot for slot in goal[0].slots if slot not in bound}
         if unbound:
             open_goals.append(goal)
             open_vars.append(unbound)
             continue
         # All terms bound: the goal holds iff at least one matching row is
         # in the world.  Matching rows are independent tuples.
-        miss = 1.0
-        for _values, row_probability in goal.rows:
-            miss *= 1.0 - row_probability
-        probability *= 1.0 - miss
+        probability *= 1.0 - _miss(goal[1])
         if probability == 0.0:
             return 0.0
 
     if not open_goals:
         return probability
 
-    # Connected components among open goals.
+    # Connected components among open goals, on the unbound variables.
     assigned = [-1] * len(open_goals)
     component = 0
     for start in range(len(open_goals)):
@@ -150,60 +154,52 @@ def _group_probability(
         component += 1
 
     for comp in range(component):
-        members = [
-            goal
-            for index, goal in enumerate(open_goals)
-            if assigned[index] == comp
-        ]
-        member_vars: Set[Var] = set()
-        for index, goal in enumerate(open_goals):
-            if assigned[index] == comp:
-                member_vars |= open_vars[index]
+        indices = [i for i in range(len(open_goals)) if assigned[i] == comp]
+        members = [open_goals[i] for i in indices]
 
         if len(members) == 1:
             # A lone subgoal holds iff at least one of its (independent)
             # matching rows is present — no recursion over local values.
-            miss = 1.0
-            for _values, row_probability in members[0].rows:
-                miss *= 1.0 - row_probability
-            probability *= 1.0 - miss
+            probability *= 1.0 - _miss(members[0][1])
             if probability == 0.0:
                 return 0.0
             continue
 
         # Root variable: occurs in every member subgoal (hierarchy).
+        member_vars: Set[int] = set()
+        for i in indices:
+            member_vars |= open_vars[i]
         roots = [
-            var
-            for var in member_vars
-            if all(var in goal.unbound_variables(binding) for goal in members)
+            slot
+            for slot in member_vars
+            if all(slot in open_vars[i] for i in indices)
         ]
         if not roots:
             raise UnsafeQueryError(
                 "no root variable for a connected subgoal group — "
                 "the query is not hierarchical"
             )
-        root = sorted(roots, key=lambda var: var.name)[0]
+        root = min(roots, key=names.__getitem__)
 
-        # Candidate values: the root must match in every member subgoal.
-        candidate_values: Optional[Set[Hashable]] = None
-        for goal in members:
-            values = goal.values_of(root)
-            candidate_values = (
-                values
-                if candidate_values is None
-                else candidate_values & values
-            )
-        assert candidate_values is not None
+        # Partition each member's rows by the root value in one pass;
+        # the root must match in every member subgoal.
+        partitions = [
+            group_rows(rows, itemgetter(step.position[root]))
+            for step, rows in members
+        ]
+        candidate_values = set(partitions[0])
+        for partition in partitions[1:]:
+            candidate_values.intersection_update(partition)
 
         # Distinct root values touch disjoint tuples: independent-or.
+        sub_bound = bound | {root}
         miss = 1.0
         for value in sorted(candidate_values, key=repr):
-            restricted = [goal.restrict(root, value) for goal in members]
-            sub_binding = dict(binding)
-            sub_binding[root] = value
-            miss *= 1.0 - _group_probability(
-                restricted, sub_binding, depth + 1
-            )
+            restricted = [
+                (step, partition[value])
+                for (step, _rows), partition in zip(members, partitions)
+            ]
+            miss *= 1.0 - _group_probability(restricted, sub_bound, names)
         probability *= 1.0 - miss
         if probability == 0.0:
             return 0.0
@@ -216,73 +212,44 @@ def sprout_confidence(
 ) -> List[Tuple[Tuple[Hashable, ...], float]]:
     """Exact per-answer confidence via SPROUT's extensional evaluation.
 
-    Requires a hierarchical conjunctive query without self-joins or
-    inequalities on tuple-independent (or certain) relations; raises
-    :class:`UnsafeQueryError` otherwise.
+    Requires a hierarchical conjunctive query without self-joins on
+    tuple-independent (or certain) relations, whose inequalities are
+    local selections; raises :class:`UnsafeQueryError` otherwise.
     """
-    if query.has_self_join():
+    plan = query.plan
+    if plan.self_join:
         raise UnsafeQueryError("SPROUT does not support self-joins")
-    if not query.is_hierarchical():
+    if not plan.hierarchical:
         raise UnsafeQueryError(f"query {query!r} is not hierarchical")
-
     # Inequalities are supported only as *selections*: every variable of an
     # inequality must be local to a single subgoal, where the predicate
     # becomes a row filter.  Cross-subgoal inequality joins belong to the
     # IQ algorithm (d-trees with the Lemma 6.8 order), not to SPROUT.
-    local_checks: Dict[int, List] = {}
-    for inequality in query.inequalities:
-        ineq_vars = set(inequality.variables())
-        home = None
-        for index, subgoal in enumerate(query.subgoals):
-            if ineq_vars <= set(subgoal.variables()):
-                home = index
-                break
+    for inequality, home in zip(query.inequalities, plan.inequality_homes):
         if home is None:
             raise UnsafeQueryError(
                 f"inequality {inequality!r} joins subgoals; this SPROUT "
                 "operator covers equality joins and local selections only"
             )
-        local_checks.setdefault(home, []).append(inequality)
-
-    registry = database.registry
 
     # Distinct answers come from ordinary evaluation; the confidence of
     # each is then computed extensionally with head variables fixed.
     answers = evaluate(query, database)
-    results: List[Tuple[Tuple[Hashable, ...], float]] = []
-    for answer in answers:
-        binding: Dict[Var, Hashable] = dict(zip(query.head, answer.values))
-        goals: List[_Goal] = []
-        for goal_index, subgoal in enumerate(query.subgoals):
-            relation = database[subgoal.relation]
-            checks = local_checks.get(goal_index, ())
-            rows: List[Tuple[Tuple[Hashable, ...], float]] = []
-            for values, lineage in relation.rows:
-                consistent = True
-                seen: Dict[Var, Hashable] = {}
-                for position, term in enumerate(subgoal.terms):
-                    if isinstance(term, Const):
-                        if values[position] != term.value:
-                            consistent = False
-                            break
-                    else:
-                        if term in binding and values[position] != binding[term]:
-                            consistent = False
-                            break
-                        if term in seen and seen[term] != values[position]:
-                            consistent = False
-                            break
-                        seen[term] = values[position]
-                if consistent and checks:
-                    row_binding = dict(binding)
-                    row_binding.update(seen)
-                    consistent = all(
-                        inequality.holds(row_binding)
-                        for inequality in checks
-                    )
-                if consistent:
-                    rows.append((values, _row_probability(lineage, registry)))
-            goals.append(_Goal(subgoal.terms, rows))
-        probability = _group_probability(goals, binding, 0)
-        results.append((answer.values, probability))
-    return results
+    if not answers:
+        return []
+    registry = database.registry
+    candidates = [
+        _Candidates(step, database[step.relation].rows, registry)
+        for step in plan.subgoals
+    ]
+    head = set(plan.head_slots)
+    names = [var.name for var in plan.variables]
+    return [
+        (
+            answer.values,
+            _group_probability(
+                [goal.goal(answer.values) for goal in candidates], head, names
+            ),
+        )
+        for answer in answers
+    ]

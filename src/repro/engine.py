@@ -1933,25 +1933,19 @@ class ConfidenceEngine:
         Without a ``database`` the row-lineage condition is assumed to
         hold (SPROUT itself re-checks and the planner falls back).
         """
-        if query.has_self_join():
+        plan = query.plan
+        if plan.self_join:
             return (
                 "dtree",
                 "self-joins are outside every known tractable class",
             )
-        if not query.is_hierarchical():
+        if not plan.hierarchical:
             return (
                 "dtree",
                 "query is not hierarchical (Def. 6.1); lineage enters "
                 "the d-tree ladder per answer",
             )
-        inequalities_local = all(
-            any(
-                set(inequality.variables()) <= set(subgoal.variables())
-                for subgoal in query.subgoals
-            )
-            for inequality in query.inequalities
-        )
-        if not inequalities_local:
+        if None in plan.inequality_homes:
             return (
                 "dtree",
                 "cross-subgoal inequalities: IQ d-tree order applies, "

@@ -1,14 +1,19 @@
 """Unit tests for the lineage formula AST (repro.core.formulas)."""
 
+import random
+
 import pytest
 
 from repro.core.dnf import DNF
+from repro.core.events import Clause
 from repro.core.formulas import (
     FALSE,
     TRUE,
     AndNode,
     AtomNode,
+    FalseNode,
     OrNode,
+    TrueNode,
     atom,
     conj,
     disj,
@@ -103,6 +108,90 @@ class TestToDNF:
         # P = (1-(1-P(x))(1-P(y))) * (P(z)P(u) + P(¬z)P(v))
         expected = (1 - 0.7 * 0.8) * (0.7 * 0.5 + 0.3 * 0.8)
         assert p == pytest.approx(expected)
+
+
+def fold_to_dnf(formula):
+    """The reference conversion: ``∧`` folds ``DNF.conjoin`` over the
+    children (stopping at false), ``∨`` folds ``DNF.union``."""
+    if isinstance(formula, TrueNode):
+        return DNF.true()
+    if isinstance(formula, FalseNode):
+        return DNF.false()
+    if isinstance(formula, AtomNode):
+        return DNF((Clause((formula.atom,)),))
+    if isinstance(formula, AndNode):
+        result = DNF.true()
+        for child in formula.children:
+            result = result.conjoin(fold_to_dnf(child))
+            if result.is_false():
+                break
+        return result
+    result = DNF.false()
+    for child in formula.children:
+        result = result.union(fold_to_dnf(child))
+    return result
+
+
+def clause_items(dnf):
+    """Clauses with their bindings in insertion order, for an exact
+    comparison beyond set equality."""
+    return [list(clause.items()) for clause in dnf.sorted_clauses()]
+
+
+def random_formula(rng, depth):
+    # Non-Boolean values are strings: the intern table is process-wide,
+    # and ``1 == True`` would alias this module's atoms with others'.
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        if roll < 0.03:
+            return rng.choice([TRUE, FALSE])
+        return atom(rng.choice("xyz"), rng.choice([True, "one", "two"]))
+    children = [
+        random_formula(rng, depth - 1) for _ in range(rng.randint(1, 4))
+    ]
+    return (AndNode if rng.random() < 0.5 else OrNode)(children)
+
+
+class TestToDNFMatchesFold:
+    @pytest.mark.parametrize(
+        "formula",
+        [
+            AndNode([atom("x", "one"), atom("x", "two")]),
+            AndNode([atom("x", "one"), atom("y"), atom("x", "two")]),
+            AndNode([atom("x"), atom("x"), atom("y")]),
+            AndNode([atom("y"), atom("x"), atom("y")]),
+            AndNode([atom("x"), TRUE]),
+            AndNode([atom("x"), FALSE]),
+            AndNode([]),
+            OrNode([FALSE, atom("x")]),
+            OrNode([TRUE, atom("x")]),
+            OrNode([atom("x"), atom("x"), AndNode([atom("x"), atom("y")])]),
+            OrNode(
+                [
+                    AndNode([atom("x"), atom("y")]),
+                    OrNode([atom("z"), AndNode([atom("x", "one"), atom("x", "two")])]),
+                    AndNode([OrNode([atom("x"), atom("y")]), atom("z")]),
+                ]
+            ),
+        ],
+        ids=repr,
+    )
+    def test_cases(self, formula):
+        expected = fold_to_dnf(formula)
+        assert formula.to_dnf() == expected
+        assert clause_items(formula.to_dnf()) == clause_items(expected)
+
+    def test_conflicting_atoms_are_false(self):
+        assert AndNode([atom("x", "one"), atom("x", "two")]).to_dnf().is_false()
+
+    def test_random_nested_formulas(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            formula = random_formula(rng, 3)
+            expected = fold_to_dnf(formula)
+            actual = formula.to_dnf()
+            assert actual == expected, formula
+            assert clause_items(actual) == clause_items(expected)
 
 
 class TestEvaluation:

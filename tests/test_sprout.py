@@ -207,3 +207,32 @@ class TestRejections:
         query = ConjunctiveQuery([], [SubGoal("C", [x])])
         with pytest.raises(UnsafeQueryError, match="tuple-independent"):
             sprout_confidence(query, db)
+
+    def test_unreached_composite_row_is_never_priced(self):
+        # Row probabilities are computed only for rows some answer reaches:
+        # a composite row outside every answer's group does not make the
+        # query unsafe, one inside does.
+        from repro.core.formulas import atom, disj
+
+        reg = VariableRegistry()
+        for name in ("r1", "r2", "c1", "v1", "v2"):
+            reg.add_boolean(name, 0.5)
+        db = Database(reg)
+        db.add(Relation("R", ["x"], [((1,), atom("r1")), ((2,), atom("r2"))]))
+        db.add(
+            Relation(
+                "C",
+                ["x"],
+                [((1,), atom("c1")), ((5,), disj(atom("v1"), atom("v2")))],
+            )
+        )
+        x = Var("X")
+        joined = ConjunctiveQuery([x], [SubGoal("R", [x]), SubGoal("C", [x])])
+        assert sprout_confidence(joined, db) == [((1,), 0.25)]
+        selected = ConjunctiveQuery(
+            [], [SubGoal("C", [x])], [Inequality(x, "<", Const(5))]
+        )
+        assert sprout_confidence(selected, db) == [((), 0.5)]
+        boolean = ConjunctiveQuery([], [SubGoal("R", [x]), SubGoal("C", [x])])
+        with pytest.raises(UnsafeQueryError, match="tuple-independent"):
+            sprout_confidence(boolean, db)
