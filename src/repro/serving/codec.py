@@ -93,7 +93,11 @@ def dnf_to_json(dnf: DNF) -> List[List[List[Any]]]:
 
 
 def dnf_from_json(data: Any) -> DNF:
-    """Parse the wire clause list back into an interned :class:`DNF`."""
+    """Parse the wire clause list back into an interned :class:`DNF`.
+
+    :class:`~repro.serving.ServingEngine` memoises successful parses per
+    wire spelling, so a repeated lineage reaches this function once.
+    """
     if not isinstance(data, list):
         raise ServingError(
             "bad-request",

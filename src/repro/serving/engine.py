@@ -33,12 +33,26 @@ with a structured ``overloaded`` error; admitted requests wait on a
 global and a per-tenant semaphore, and per-request deadlines (read
 through :mod:`repro.core.clock`, so tests can fake time) fail with
 ``deadline-exceeded`` rather than queueing forever.
+
+Lineage memo: every op names its lineage in wire form, and a served
+lineage usually repeats (the circuit is compiled once, evaluated many
+times).  :meth:`ServingEngine._lineage` therefore keeps the ``DNF``
+that :func:`~repro.serving.codec.dnf_from_json` returned for each wire
+value, keyed by ``repr`` of that value — exact for the JSON-native
+types a parse accepts (it tells ``list`` from ``tuple`` and ``1`` from
+``True`` from ``1.0``).  Only successful parses are kept; the memo is an
+LRU bounded by :data:`_LINEAGE_MEMO_CHARS` key characters.  No
+invalidation is needed: a ``DNF`` is immutable, atom interning is
+append-only and circuits are looked up by ``DNF`` equality, so a
+memoised lineage stays valid across store reloads, catalog changes and
+live-cache mutations.
 """
 
 from __future__ import annotations
 
 import asyncio
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -76,6 +90,10 @@ _OPS = ("evaluate", "bounds", "gradients", "what_if", "sweep", "top_k")
 #: is excluded: a cold computation may have used the (seeded or not)
 #: MC rung, and its convergence is budget-dependent.
 _CACHEABLE_STRATEGIES = frozenset({"store", "overlay", "engine-compile"})
+
+#: Total ``repr`` key characters the lineage memo may hold (about
+#: 4 MiB of wire text); least-recently-used lineages are evicted first.
+_LINEAGE_MEMO_CHARS = 4 * 1024 * 1024
 
 
 def _interval_width(circuit: Circuit) -> float:
@@ -268,6 +286,10 @@ class ServingEngine:
             burst=self.config.quota_burst,
             tenant_rates=self.config.tenant_quota_rps,
         )
+        #: Parsed wire lineages by ``repr`` key (see :meth:`_lineage`).
+        self._lineages: "OrderedDict[str, DNF]" = OrderedDict()
+        self._lineage_chars = 0
+        self._lineage_lock = threading.Lock()
         self._engine_lock = threading.Lock()
         self._pending = 0
         # Loop-bound state, re-created if the engine is reused from a
@@ -443,9 +465,45 @@ class ServingEngine:
         return snapshot
 
     def _lineage(self, data: Any) -> DNF:
+        """The interned ``DNF`` of a wire lineage, parsed at most once.
+
+        The memo key is ``repr(data)``: a hit returns the ``DNF`` an
+        earlier :func:`dnf_from_json` call built for the same spelling.
+        A miss (or a value whose ``repr`` raises) parses exactly as
+        without the memo, and only a successful parse is memoised, so a
+        malformed lineage raises the same :class:`ServingError` every
+        time.  Entries are evicted least recently used first once their
+        keys exceed :data:`_LINEAGE_MEMO_CHARS` characters in total.
+        """
         if isinstance(data, DNF):
             return data  # in-process client shortcut
-        return dnf_from_json(data)
+        try:
+            key: Optional[str] = repr(data)
+        except Exception:
+            # An in-process value whose repr fails (or nests too
+            # deeply) gets no key; the parse below decides its fate.
+            key = None
+        if key is not None:
+            with self._lineage_lock:
+                dnf = self._lineages.get(key)
+                if dnf is not None:
+                    self._lineages.move_to_end(key)
+                    self.stats.lineage_parse_hits += 1
+                    return dnf
+        dnf = dnf_from_json(data)
+        with self._lineage_lock:
+            self.stats.lineage_parses += 1
+            if (
+                key is not None
+                and key not in self._lineages
+                and len(key) <= _LINEAGE_MEMO_CHARS
+            ):
+                self._lineages[key] = dnf
+                self._lineage_chars += len(key)
+                while self._lineage_chars > _LINEAGE_MEMO_CHARS:
+                    evicted, _ = self._lineages.popitem(last=False)
+                    self._lineage_chars -= len(evicted)
+        return dnf
 
     async def _with_engine(
         self, deadline: Optional[float], work: Callable[[], Any]

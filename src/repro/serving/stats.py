@@ -55,6 +55,8 @@ class ServingStats:
         "store_misses",
         "response_hits",
         "response_misses",
+        "lineage_parses",
+        "lineage_parse_hits",
         "engine_fallbacks",
         "refinements",
         "reloads",
@@ -87,6 +89,10 @@ class ServingStats:
         #: circuit, misses counted only for cacheable requests.
         self.response_hits = 0
         self.response_misses = 0
+        #: Wire lineages parsed by ``dnf_from_json`` (successful parses
+        #: only) and lineages answered from the engine's lineage memo.
+        self.lineage_parses = 0
+        self.lineage_parse_hits = 0
         self.engine_fallbacks = 0
         self.refinements = 0
         self.reloads = 0
@@ -184,6 +190,8 @@ class ServingStats:
             "response_hits": self.response_hits,
             "response_misses": self.response_misses,
             "response_hit_ratio": self.response_hit_ratio(),
+            "lineage_parses": self.lineage_parses,
+            "lineage_parse_hits": self.lineage_parse_hits,
             "engine_fallbacks": self.engine_fallbacks,
             "refinements": self.refinements,
             "reloads": self.reloads,

@@ -15,6 +15,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.circuits import (
@@ -40,6 +42,8 @@ from repro.serving import (
     ServingEngine,
     ServingError,
 )
+from repro.serving import engine as serving_engine
+from repro.serving.codec import dnf_from_json, dnf_to_json
 
 
 def run(coroutine):
@@ -1038,3 +1042,179 @@ class TestDeadlineMicrobatch:
         assert serving.stats.batches == 1
         assert serving.stats.batched_rows == 2
         assert serving.stats.errors["deadline-exceeded"] == 1
+
+
+# ----------------------------------------------------------------------
+# Lineage memo: a repeated wire lineage is parsed once
+# ----------------------------------------------------------------------
+def wire(*clauses):
+    return dnf_to_json(dnf(*clauses))
+
+
+MALFORMED = [
+    {"not": "a list"},
+    [["x0", True]],  # clause is a bare atom, not a list of atoms
+    [[["x0", True, 0.5]]],  # three-element atom
+    [[["x0", {"value": True}]]],  # dict value
+]
+
+
+class TestLineageMemo:
+    def test_repeat_returns_identical_dnf(self, served):
+        serving = served["serving"]
+        first = serving._lineage(wire(*L1))
+        second = serving._lineage(wire(*L1))
+        assert second is first
+        assert first == dnf_from_json(wire(*L1)) == dnf(*L1)
+        assert len(serving._lineages) == 1
+
+    @pytest.mark.parametrize("lineage", MALFORMED)
+    def test_malformed_lineage_raises_every_time(self, served, lineage):
+        serving = served["serving"]
+        run(served["wire"].evaluate(wire(*L1)))
+        size = len(serving._lineages)
+        failures = []
+        for _ in range(3):
+            with pytest.raises(ServingError) as info:
+                run(served["wire"].evaluate(lineage))
+            failures.append((info.value.code, info.value.status))
+        assert failures == [("bad-request", 400)] * 3
+        assert len(serving._lineages) == size
+
+    def test_tuple_spelling_misses_the_list_spelling(self, served):
+        client = served["client"]
+        listed = [[list(atom) for atom in clause] for clause in wire(*L1)]
+        assert run(client.evaluate(listed))["strategy"] == "store"
+        tupled = [[tuple(atom) for atom in clause] for clause in listed]
+        with pytest.raises(ServingError) as info:
+            run(client.evaluate(tupled))
+        assert info.value.code == "bad-request"
+
+    def test_value_spellings_parse_as_their_own_spelling(self, served):
+        serving = served["serving"]
+        spellings = ([[["x0", 1]]], [[["x0", True]]], [[["x0", 1.0]]])
+        for spelling in spellings * 2:
+            assert serving._lineage(spelling) == dnf_from_json(spelling)
+        assert len(serving._lineages) == len(spellings)
+
+    def test_character_budget_evicts_least_recently_used(
+        self, served, monkeypatch
+    ):
+        serving = served["serving"]
+        lineages = [[[["x0", True], ["y", index]]] for index in range(10, 50)]
+        budget = 5 * len(repr(lineages[0]))
+        monkeypatch.setattr(serving_engine, "_LINEAGE_MEMO_CHARS", budget)
+        kept = serving._lineage(lineages[0])
+        for lineage in lineages[1:]:
+            serving._lineage(lineage)
+            assert serving._lineage(lineages[0]) is kept  # stays recent
+            assert serving._lineage_chars <= budget
+            assert serving._lineage_chars == sum(
+                len(key) for key in serving._lineages
+            )
+        assert repr(lineages[0]) in serving._lineages
+        assert repr(lineages[-1]) in serving._lineages
+        assert repr(lineages[1]) not in serving._lineages
+        assert len(serving._lineages) == 5
+        oversized = [[["z", "w" * budget]]]
+        assert serving._lineage(oversized) == dnf_from_json(oversized)
+        assert repr(oversized) not in serving._lineages
+
+    def test_memoised_lineage_follows_store_reload(self, served):
+        wire_client = served["wire"]
+        big = TestRefineSweepBounds().big_lineage()
+        lineage = dnf_to_json(big)
+        cold = run(wire_client.bounds(lineage))
+        assert cold["strategy"] == "engine"
+        # Rewrite the store with a truncated circuit for that lineage.
+        engine = ConfidenceEngine(served["registry"])
+        partial = engine.compile_circuit(big, max_nodes=8)
+        assert partial.residuals
+        served["cache"].put(big, partial, exact_only=False)
+        served["cache"].save(served["path"])
+        served["stores"].reload("main")
+        hits = served["serving"].stats.lineage_parse_hits
+        reloaded = run(wire_client.bounds(lineage))
+        assert served["serving"].stats.lineage_parse_hits == hits + 1
+        assert reloaded["strategy"] == "store"
+        assert reloaded["store_version"] != cold["store_version"]
+        assert tuple(reloaded["bounds"]) == partial.evaluate_bounds()
+
+    def test_memoised_lineage_follows_drop_and_add(self, served, tmp_path):
+        wire_client = served["wire"]
+        lineage = wire(*COLD)
+        assert run(wire_client.evaluate(lineage))["strategy"] == "engine"
+        extra = build_store(served["registry"], tmp_path / "cold.bin", [COLD])
+        run(wire_client.drop_store("main"))
+        run(wire_client.add_store("main", str(extra)))
+        hits = served["serving"].stats.lineage_parse_hits
+        response = run(wire_client.evaluate(lineage, overrides={"x9": 0.4}))
+        assert served["serving"].stats.lineage_parse_hits == hits + 1
+        assert response["strategy"] == "store"
+        circuit = served["stores"].snapshot("main").get(dnf(*COLD))
+        assert response["value"] == circuit.evaluate({"x9": 0.4})
+
+    def test_memoised_lineage_follows_live_cache_bump(self):
+        db = ProbDB.from_registry(make_registry())
+        first = dnf(*L1)
+        db.circuit(first)
+        serving = db.serving(store_name="live")
+        client = ServingClient(serving)
+        before = run(client.evaluate(wire(*L1), overrides={"x0": 0.2}))
+        later = db.circuit(dnf(*L2))  # bumps the live cache's version
+        after = run(client.evaluate(wire(*L1), overrides={"x0": 0.2}))
+        assert serving.stats.lineage_parse_hits == 1
+        assert after["store_version"] != before["store_version"]
+        circuit = serving.stores.snapshot("live").get(first)
+        assert after["value"] == circuit.evaluate({"x0": 0.2})
+        response = run(client.evaluate(wire(*L2)))
+        assert response["value"] == later.evaluate()
+
+
+WIRE_NAMES = st.sampled_from(["x0", "x1", "x2", 3])
+WIRE_VALUES = st.one_of(
+    st.booleans(),
+    st.sampled_from([0, 1, 0.0, 1.0, "a", None]),
+    st.lists(st.sampled_from(["x0", 1]), max_size=2),
+)
+WIRE_ATOMS = st.one_of(
+    st.lists(st.one_of(WIRE_NAMES, WIRE_VALUES), min_size=2, max_size=2),
+    st.tuples(WIRE_NAMES, WIRE_VALUES).map(list),
+    st.tuples(WIRE_NAMES, WIRE_VALUES, WIRE_VALUES).map(list),
+    st.tuples(WIRE_NAMES, st.just({"value": True})).map(list),
+)
+WIRE_CLAUSES = st.one_of(
+    st.lists(WIRE_ATOMS, max_size=3),
+    # One variable bound twice (to equal or different values).
+    st.tuples(WIRE_NAMES, WIRE_VALUES, WIRE_VALUES).map(
+        lambda t: [[t[0], t[1]], [t[0], t[2]]]
+    ),
+    WIRE_NAMES,  # a bare scalar where a clause list belongs
+)
+WIRE_LINEAGES = st.one_of(
+    st.lists(WIRE_CLAUSES, max_size=4),
+    st.lists(WIRE_CLAUSES, min_size=1, max_size=2).map(lambda c: c + c),
+    st.just({"clauses": []}),
+)
+#: One engine across examples, so a lineage drawn twice also hits the
+#: memo filled by an earlier example.
+MEMO_ENGINE = ServingEngine(CircuitStoreService(VariableRegistry()))
+
+
+class TestLineageMemoProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(WIRE_LINEAGES)
+    def test_memo_agrees_with_a_fresh_parse(self, lineage):
+        try:
+            expected = dnf_from_json(lineage)
+        except ServingError as exc:
+            expected = exc
+        for _ in range(2):
+            size = len(MEMO_ENGINE._lineages)
+            if isinstance(expected, ServingError):
+                with pytest.raises(ServingError) as info:
+                    MEMO_ENGINE._lineage(lineage)
+                assert info.value.code == expected.code
+                assert len(MEMO_ENGINE._lineages) == size
+            else:
+                assert MEMO_ENGINE._lineage(lineage) == expected

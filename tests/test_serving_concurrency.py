@@ -11,10 +11,12 @@ with that tenant's numbers).
 
 A second pass drives separate engines from OS threads over the same
 shared :class:`CircuitStoreService`, exercising the thread-safe
-``CircuitCache`` read path.
+``CircuitCache`` read path; a third shares one engine's lineage memo
+between threads while it evicts.
 """
 
 import asyncio
+import sys
 import threading
 
 import pytest
@@ -30,6 +32,8 @@ from repro.serving import (
     ServingConfig,
     ServingEngine,
 )
+from repro.serving import engine as serving_engine
+from repro.serving.codec import dnf_from_json, dnf_to_json
 
 TENANTS = ("alpha", "beta", "gamma", "delta")
 
@@ -242,3 +246,51 @@ def test_threaded_engines_share_store_snapshots(stack):
     for thread in threads:
         thread.join()
     assert errors == []
+
+
+def test_threads_share_one_lineage_memo(monkeypatch):
+    """Threads hammering one engine's lineage memo, with a budget small
+    enough to evict constantly, lose no update: the character count
+    matches the keys, stays within the budget, and every call is
+    counted exactly once as a parse or a hit."""
+    serving = ServingEngine(CircuitStoreService(make_registry()))
+    wires = [
+        dnf_to_json(lineage) for lineage in LINEAGES
+    ] + [[[["v0", True], ["w", index]]] for index in range(10, 22)]
+    budget = 4 * max(len(repr(wire)) for wire in wires)
+    monkeypatch.setattr(serving_engine, "_LINEAGE_MEMO_CHARS", budget)
+    rounds, threads_count = 200, 8
+    errors = []
+
+    def worker(offset):
+        try:
+            for step in range(rounds):
+                wire = wires[(offset + step) % len(wires)]
+                if serving._lineage(wire) != dnf_from_json(wire):
+                    errors.append(wire)
+        except Exception as exc:  # pragma: no cover - surfaced below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=worker, args=(offset,))
+            for offset in range(threads_count)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    stats = serving.stats
+    assert stats.lineage_parses + stats.lineage_parse_hits == (
+        rounds * threads_count
+    )
+    assert serving._lineage_chars == sum(
+        len(key) for key in serving._lineages
+    )
+    assert serving._lineage_chars <= budget

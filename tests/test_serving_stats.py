@@ -8,11 +8,26 @@ of the second.  The fix is the standard nearest-rank formula
 independent reference over arbitrary float lists.
 """
 
+import asyncio
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.circuits import CircuitCache
+from repro.core.dnf import DNF
+from repro.core.events import Clause
+from repro.core.variables import VariableRegistry
+from repro.engine import ConfidenceEngine
+from repro.serving import (
+    ASGIClient,
+    CircuitStoreService,
+    ServingApp,
+    ServingEngine,
+    ServingError,
+)
+from repro.serving.codec import dnf_to_json
 from repro.serving.stats import ServingStats, percentile
 
 SAMPLES = st.lists(
@@ -102,3 +117,31 @@ class TestFleetCounters:
         assert summary["response_misses"] == 4
         assert summary["response_hit_ratio"] == 0.5
         assert summary["quota_rejections"] == 2
+
+
+class TestLineageParseCounters:
+    def test_repeats_hit_and_malformed_counts_neither(self, tmp_path):
+        registry = VariableRegistry()
+        for name in ("a", "b", "c"):
+            registry.add_boolean(name, 0.4)
+        lineage = DNF([Clause({"a": True, "b": True}), Clause({"c": True})])
+        cache = CircuitCache()
+        cache.put(lineage, ConfidenceEngine(registry).compile_circuit(lineage))
+        cache.save(tmp_path / "store.bin")
+        serving = ServingEngine(
+            CircuitStoreService(registry, {"main": tmp_path / "store.bin"})
+        )
+        wire = ASGIClient(ServingApp(serving))
+
+        async def scenario():
+            for _ in range(5):
+                await wire.evaluate(dnf_to_json(lineage))
+            with pytest.raises(ServingError):
+                await wire.evaluate([["a", True]])
+            return await wire.stats()
+
+        summary = asyncio.run(scenario())
+        assert summary["lineage_parses"] == 1
+        assert summary["lineage_parse_hits"] == 4
+        assert serving.stats.lineage_parses == 1
+        assert serving.stats.lineage_parse_hits == 4
