@@ -314,7 +314,7 @@ def compile_circuit(
             if branch.cofactor.is_true():
                 children.append(atom_node)
                 continue
-            cofactor_node = build(branch.cofactor, False)
+            cofactor_node = build(branch.cofactor, branch.reduced)
             children.append(
                 builder.inner(KIND_PROD, [atom_node, cofactor_node])
             )

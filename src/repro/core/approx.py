@@ -173,8 +173,11 @@ class _PendingChild:
 
     ``reduced`` marks DNFs that are already subsumption-free: ⊗-components
     and ⊙-factors of a reduced DNF stay reduced (a subsuming pair inside
-    one would lift to a subsuming pair in the parent), so only Shannon
-    cofactors need another subsumption pass on refinement.
+    one would lift to a subsuming pair in the parent), and Shannon
+    cofactors arrive marked by :func:`shannon_expansion`, which certifies
+    all but the rare cofactor where a stripped clause lands inside an
+    unchanged one.  Only those unmarked cofactors take a subsumption
+    pass (memoised in ``cache.reduced``) on refinement.
     """
 
     __slots__ = ("dnf", "lower", "upper", "weight", "reduced")
@@ -687,6 +690,7 @@ def approximate_probability(
                             low,
                             high,
                             weight=branch.probability,
+                            reduced=branch.reduced,
                         )
                     )
                 new_frame = _Frame(

@@ -68,14 +68,19 @@ def bucket_partition(
     bucket factors into one-occurrence form; the bucket probability is then
     evaluated on the factored form.
     """
-    clauses = dnf.sorted_clauses()
-    probabilities = {
-        clause: clause.probability(registry) for clause in clauses
-    }
     if sort_by_probability:
-        clauses.sort(
-            key=lambda clause: (-probabilities[clause], clause.atom_ids)
+        # One sort: ``(-p, atom ids)`` is a total order on distinct
+        # clauses, so no prior sort by atom ids is needed.
+        ordered = sorted(
+            (-clause.probability(registry), clause.atom_ids, clause)
+            for clause in dnf
         )
+        weighted = [(clause, -negated) for negated, _ids, clause in ordered]
+    else:
+        weighted = [
+            (clause, clause.probability(registry))
+            for clause in dnf.sorted_clauses()
+        ]
 
     bucket_clauses: List[List[Clause]] = []
     bucket_variables: List[Set[int]] = []
@@ -84,9 +89,8 @@ def bucket_partition(
     # their factored form whenever a correlated clause joins.
     bucket_probabilities: List[float] = []
 
-    for clause in clauses:
+    for clause, clause_prob in weighted:
         clause_vars = clause.variable_ids
-        clause_prob = probabilities[clause]
         placed = False
         for index, used_vars in enumerate(bucket_variables):
             if clause_vars.isdisjoint(used_vars):

@@ -120,19 +120,23 @@ def _compile(
     selector: VariableSelector,
     max_nodes: Optional[int],
     stats: CompilationStats,
+    reduced: bool = False,
 ) -> DTree:
     # Fig. 1 head: a DNF containing the empty clause is the constant true.
     if dnf.is_true():
         _charge(stats, max_nodes)
         return LeafNode(DNF.true())
 
-    # Step 1: remove subsumed clauses.
-    reduced = dnf.remove_subsumed()
-    stats.subsumed_clauses += len(dnf) - len(reduced)
-    dnf = reduced
-    if dnf.is_true():
-        _charge(stats, max_nodes)
-        return LeafNode(DNF.true())
+    # Step 1: remove subsumed clauses — unless ``dnf`` is known to be
+    # subsumption-free: ⊗ components and ⊙ factors of a reduced DNF are,
+    # and so is every Shannon cofactor its branch marks ``reduced``.
+    if not reduced:
+        subsumption_free = dnf.remove_subsumed()
+        stats.subsumed_clauses += len(dnf) - len(subsumption_free)
+        dnf = subsumption_free
+        if dnf.is_true():
+            _charge(stats, max_nodes)
+            return LeafNode(DNF.true())
 
     if dnf.is_single_clause():
         _charge(stats, max_nodes)
@@ -143,7 +147,7 @@ def _compile(
     if len(components) > 1:
         _charge(stats, max_nodes)
         children = [
-            _compile(component, registry, selector, max_nodes, stats)
+            _compile(component, registry, selector, max_nodes, stats, True)
             for component in components
         ]
         return IndependentOrNode(children)
@@ -153,7 +157,7 @@ def _compile(
     if factors is not None:
         _charge(stats, max_nodes)
         children = [
-            _compile(factor, registry, selector, max_nodes, stats)
+            _compile(factor, registry, selector, max_nodes, stats, True)
             for factor in factors
         ]
         return IndependentAndNode(children)
@@ -174,7 +178,12 @@ def _compile(
             children.append(clause_leaf)
             continue
         cofactor_tree = _compile(
-            branch.cofactor, registry, selector, max_nodes, stats
+            branch.cofactor,
+            registry,
+            selector,
+            max_nodes,
+            stats,
+            branch.reduced,
         )
         children.append(IndependentAndNode([clause_leaf, cofactor_tree]))
     if len(children) == 1:

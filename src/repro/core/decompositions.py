@@ -2,8 +2,9 @@
 
 * **Independent-or (⊗)** — partition a DNF ``Φ`` into variable-disjoint
   DNFs ``Φ₁ ∨ … ∨ Φ_k``.  This is finding connected components of the
-  variable co-occurrence structure; we use a union-find over variables,
-  which is the linear-time method the paper alludes to.
+  variable co-occurrence structure; a connectivity sweep answers the
+  common connected case, and a union-find over variables — the
+  linear-time method the paper alludes to — splits the rest.
 
 * **Independent-and (⊙)** — factor ``Φ`` into variable-disjoint DNFs with
   ``Φ ≡ Φ₁ ∧ … ∧ Φ_k``.  For relational lineage this is the unique
@@ -14,7 +15,8 @@
   verification simply reports "no factorization").
 
 * **Shannon expansion (⊕)** — choose a variable ``x`` and rewrite
-  ``Φ ≡ ⊕_{a ∈ Dom(x)} ({x=a} ⊙ Φ|_{x=a})``, skipping empty cofactors.
+  ``Φ ≡ ⊕_{a ∈ Dom(x)} ({x=a} ⊙ Φ|_{x=a})``, skipping empty cofactors,
+  and mark each cofactor that is provably still subsumption-free.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import (
 
 from .dnf import DNF
 from .events import Clause
-from .variables import VariableRegistry, variable_repr
+from .variables import VariableRegistry, lookup_atom, variable_repr
 
 __all__ = [
     "independent_or_partition",
@@ -84,12 +86,22 @@ def independent_or_partition(dnf: DNF) -> List[DNF]:
     """Partition ``Φ`` into pairwise independent DNFs (⊗ children).
 
     Returns a list with more than one element iff the decomposition is
-    non-trivial; a singleton list means ``Φ`` is connected.  Clauses with no
-    variables (the constant-true clause) should have been handled by the
-    caller; they are grouped into their own component here for safety.
+    non-trivial; a connected ``Φ`` comes back as ``[Φ]``, the input
+    object itself.  Clauses with no variables (the constant-true clause)
+    should have been handled by the caller; they are grouped into their
+    own component here for safety.
 
-    Runs in near-linear time in ``size(Φ)``, on interned variable ids.
+    A connectivity sweep runs first: starting from one clause's
+    variables, it absorbs every clause that shares a variable with the
+    reached set (``frozenset.isdisjoint`` and ``|=``, both C loops),
+    pass after pass, and answers ``[Φ]`` as soon as every variable is
+    reached.  Only a pass that reaches nothing new falls through to the
+    union-find, which orders components by ``variable_repr`` of their
+    root as before.  Runs in near-linear time in ``size(Φ)``, on
+    interned variable ids.
     """
+    if _is_connected(dnf):
+        return [dnf]
     uf = _UnionFind()
     find = uf.find
     union = uf.union
@@ -119,6 +131,35 @@ def independent_or_partition(dnf: DNF) -> List[DNF]:
     if empties:
         components.append(DNF(empties))
     return components
+
+
+def _is_connected(dnf: DNF) -> bool:
+    """Whether ``Φ`` is one ⊗ component (the connectivity sweep).
+
+    The empty DNF has no component and a DNF holding the empty clause
+    next to others has two, so both are reported disconnected; ``{∅}``
+    alone is connected.
+    """
+    if len(dnf) <= 1:
+        return len(dnf) == 1
+    if dnf.is_true():
+        return False
+    target = len(dnf.variable_ids)
+    clauses = iter(dnf)
+    reached = set(next(clauses).variable_ids)
+    pending = list(clauses)
+    while len(reached) < target:
+        unreached = []
+        for clause in pending:
+            vids = clause.variable_ids
+            if reached.isdisjoint(vids):
+                unreached.append(clause)
+            else:
+                reached |= vids
+        if len(unreached) == len(pending):
+            return False
+        pending = unreached
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -232,9 +273,17 @@ def independent_and_factorization(dnf: DNF) -> Optional[List[DNF]]:
 # Shannon expansion
 # ----------------------------------------------------------------------
 class ShannonBranch:
-    """One branch of a Shannon expansion: ``{x=a} ⊙ Φ|_{x=a}``."""
+    """One branch of a Shannon expansion: ``{x=a} ⊙ Φ|_{x=a}``.
 
-    __slots__ = ("variable", "value", "probability", "cofactor")
+    ``reduced`` is ``True`` when the cofactor is certified
+    subsumption-free, so a d-tree can decompose it without another
+    :meth:`~repro.core.dnf.DNF.remove_subsumed` pass.  The certificate
+    holds only for expansions of a subsumption-free ``Φ`` (see
+    :func:`shannon_expansion`); ``False`` promises nothing, and is the
+    default for branches built elsewhere (e.g. decoded cache slices).
+    """
+
+    __slots__ = ("variable", "value", "probability", "cofactor", "reduced")
 
     def __init__(
         self,
@@ -242,16 +291,19 @@ class ShannonBranch:
         value: Hashable,
         probability: float,
         cofactor: DNF,
+        reduced: bool = False,
     ) -> None:
         self.variable = variable
         self.value = value
         self.probability = probability
         self.cofactor = cofactor
+        self.reduced = reduced
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ShannonBranch({self.variable!r}={self.value!r}, "
-            f"p={self.probability}, cofactor={self.cofactor!r})"
+            f"p={self.probability}, cofactor={self.cofactor!r}, "
+            f"reduced={self.reduced})"
         )
 
 
@@ -263,21 +315,76 @@ def shannon_expansion(
     Branches whose cofactor is empty (unsatisfiable conjunct) are skipped,
     exactly as in Fig. 1 of the paper.  The branch cofactor of a value
     ``a`` contains the restricted clauses plus all clauses not mentioning
-    ``variable``.
+    ``variable``; it equals ``dnf.restrict(variable, a)``.
+
+    Precondition for the ``reduced`` marks: ``Φ`` is subsumption-free
+    (every d-tree expands only reduced DNFs).  Each cofactor is built in
+    one pass that splits its clauses into *unchanged* ones (no
+    ``variable``) and *stripped* ones (had ``variable = a``, atom
+    removed).  Two unchanged or two stripped clauses, or an unchanged
+    clause inside a stripped one, would already have been a subsuming
+    pair in ``Φ``; so the cofactor is subsumption-free unless a stripped
+    clause is contained in an unchanged one, and exactly then the branch
+    is marked ``reduced=False``.
     """
     if variable not in dnf.variables:
         raise ValueError(f"variable {variable!r} does not occur in the DNF")
+    clauses = dnf.clauses
     branches: List[ShannonBranch] = []
     for value in registry.domain(variable):
-        cofactor = dnf.restrict(variable, value)
-        if cofactor.is_false():
+        atom_id, var_id = lookup_atom(variable, value)
+        if atom_id is None:
+            atom_id = -1  # un-interned value: conflicts with any binding
+        restricted: List[Clause] = []
+        unchanged: List[Clause] = []
+        stripped: List[Clause] = []
+        for clause in clauses:
+            restricted_clause = clause.restrict_ids(var_id, atom_id)
+            if restricted_clause is None:
+                continue
+            restricted.append(restricted_clause)
+            if restricted_clause is clause:
+                unchanged.append(clause)
+            else:
+                stripped.append(restricted_clause)
+        if not restricted:
             continue
         branches.append(
             ShannonBranch(
                 variable,
                 value,
                 registry.probability(variable, value),
-                cofactor,
+                DNF(restricted),
+                _none_contained(stripped, unchanged),
             )
         )
     return branches
+
+
+def _none_contained(
+    stripped: Sequence[Clause], unchanged: Sequence[Clause]
+) -> bool:
+    """True when no ``stripped`` clause is a subset of an ``unchanged`` one.
+
+    Stripped clauses are indexed by their smallest atom id: a stripped
+    clause can fit inside an unchanged clause only if that atom does, so
+    each unchanged clause probes just the buckets of its own atoms.
+    """
+    if not stripped or not unchanged:
+        return True
+    by_first_atom: Dict[int, List[FrozenSet[int]]] = {}
+    for clause in stripped:
+        atom_ids = clause._ids
+        if not atom_ids:
+            return False  # the empty clause lies inside every clause
+        by_first_atom.setdefault(atom_ids[0], []).append(clause._idset)
+    first_atoms = by_first_atom.keys()
+    for clause in unchanged:
+        idset = clause._idset
+        if first_atoms.isdisjoint(idset):
+            continue
+        for atom_id in clause._ids:
+            for candidate in by_first_atom.get(atom_id, ()):
+                if candidate <= idset:
+                    return False
+    return True

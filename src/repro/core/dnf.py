@@ -49,7 +49,8 @@ class DNF:
     ``{∅}``).
     """
 
-    __slots__ = ("_clauses", "_vids", "_names", "_hash", "_sorted")
+    __slots__ = ("_clauses", "_vids", "_names", "_hash", "_sorted",
+                 "_frequencies")
 
     def __init__(self, clauses: Iterable[Clause] = ()) -> None:
         clause_set = frozenset(clauses)
@@ -61,6 +62,7 @@ class DNF:
         object.__setattr__(self, "_names", None)
         object.__setattr__(self, "_hash", hash(clause_set))
         object.__setattr__(self, "_sorted", None)
+        object.__setattr__(self, "_frequencies", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("DNF is immutable")
@@ -145,8 +147,11 @@ class DNF:
         return not self._clauses
 
     def is_true(self) -> bool:
-        """True iff the DNF contains the empty clause (constant true)."""
-        return any(clause.is_empty() for clause in self._clauses)
+        """True iff the DNF contains the empty clause (constant true).
+
+        A hash lookup: clauses hash and compare by their atom-id sets.
+        """
+        return _EMPTY_CLAUSE in self._clauses
 
     def is_single_clause(self) -> bool:
         return len(self._clauses) == 1
@@ -273,12 +278,20 @@ class DNF:
         }
 
     def variable_id_frequencies(self) -> Dict[int, int]:
-        """Clause counts per interned variable id (Shannon heuristic)."""
-        counts: Dict[int, int] = {}
-        for clause in self._clauses:
-            for vid in clause._vids:
-                counts[vid] = counts.get(vid, 0) + 1
-        return counts
+        """Clause counts per interned variable id (Shannon heuristic).
+
+        Counted once per (immutable) DNF — the ⊙ divisibility test and
+        the pivot selector both ask on the same node; callers receive a
+        fresh copy they may modify freely.
+        """
+        counts = self._frequencies
+        if counts is None:
+            counts = {}
+            for clause in self._clauses:
+                for vid in clause._vids:
+                    counts[vid] = counts.get(vid, 0) + 1
+            object.__setattr__(self, "_frequencies", counts)
+        return dict(counts)
 
     def most_frequent_variable(self) -> Hashable:
         """The paper's default Shannon pivot: a most frequent variable.
@@ -323,3 +336,7 @@ class DNF:
 
 def _clause_sort_key(clause: Clause) -> Tuple[int, ...]:
     return clause._ids
+
+
+#: The constant-true clause, the probe of :meth:`DNF.is_true`.
+_EMPTY_CLAUSE = Clause()

@@ -7,7 +7,11 @@ queries well over 90% of refinement steps revisit a DNF that was already
 decomposed elsewhere.  All of the per-DNF work is pure (given a registry,
 a pivot selector and the bounds-heuristic flags):
 
-* subsumption removal,
+* subsumption removal — the ``reduced`` section, filled only for DNFs
+  not known to be subsumption-free: circuit-compile roots and the
+  Shannon cofactors :func:`~repro.core.decompositions.shannon_expansion`
+  left unmarked (⊗ components, ⊙ factors and marked cofactors need no
+  pass),
 * ⊗ connected-component partitioning,
 * ⊙ product factorization,
 * Shannon pivot choice and expansion,

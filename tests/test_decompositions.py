@@ -1,8 +1,11 @@
 """Unit tests for the three d-tree decompositions."""
 
+import random
+
 import pytest
 
 from repro.core.decompositions import (
+    _UnionFind,
     independent_and_factorization,
     independent_or_partition,
     shannon_expansion,
@@ -10,7 +13,7 @@ from repro.core.decompositions import (
 from repro.core.dnf import DNF
 from repro.core.events import Clause
 from repro.core.semantics import equivalent_on_registry
-from repro.core.variables import VariableRegistry
+from repro.core.variables import VariableRegistry, variable_repr
 
 
 @pytest.fixture
@@ -79,6 +82,96 @@ class TestIndependentOr:
         )
         assert equivalent_on_registry(dnf, rebuilt, registry)
 
+
+
+def _union_find_partition(dnf):
+    """Test-only reference ⊗: the union-find partition without the
+    connectivity sweep (components ordered by ``variable_repr`` of
+    their root, the empty clause last)."""
+    uf = _UnionFind()
+    for clause in dnf:
+        vids = clause.variable_ids
+        if len(vids) < 2:
+            continue
+        vid_iter = iter(vids)
+        first = next(vid_iter)
+        for vid in vid_iter:
+            uf.union(first, vid)
+    groups, empties = {}, []
+    for clause in dnf.sorted_clauses():
+        vids = clause.variable_ids
+        if not vids:
+            empties.append(clause)
+            continue
+        root = uf.find(next(iter(vids)))
+        groups.setdefault(root, []).append(clause)
+    components = [
+        DNF(clauses)
+        for _root, clauses in sorted(
+            groups.items(), key=lambda item: variable_repr(item[0])
+        )
+    ]
+    if empties:
+        components.append(DNF(empties))
+    return components
+
+
+class TestIndependentOrFastPath:
+    """The connectivity sweep changes nothing but the cost: the same
+    components in the same order as the union-find, and the input object
+    itself when it is connected."""
+
+    @staticmethod
+    def _check(dnf):
+        parts = independent_or_partition(dnf)
+        assert parts == _union_find_partition(dnf)
+        if len(parts) == 1:
+            assert parts[0] is dnf
+        return parts
+
+    @pytest.mark.parametrize("seed", range(80))
+    def test_random_dnfs_match_union_find(self, seed):
+        rng = random.Random(seed)
+        names = [f"c{index}" for index in range(rng.randint(1, 9))]
+        clauses = []
+        for _ in range(rng.randint(1, 8)):
+            picked = rng.sample(names, rng.randint(0, min(3, len(names))))
+            clauses.append(
+                Clause({name: rng.random() < 0.7 for name in picked})
+            )
+        self._check(DNF(clauses))
+
+    def test_connected_input_is_returned_itself(self):
+        dnf = DNF.from_sets(
+            [{"a": True, "b": True}, {"c": True, "d": True},
+             {"b": True, "c": False}]
+        )
+        assert self._check(dnf) == [dnf]
+
+    def test_empty_clause_is_its_own_component(self):
+        dnf = DNF.from_sets([{"a": True, "b": True}, {}])
+        assert self._check(dnf) == [
+            DNF.from_sets([{"a": True, "b": True}]),
+            DNF.true(),
+        ]
+        true = DNF.true()
+        assert self._check(true)[0] is true
+
+    def test_false_has_no_component(self):
+        assert self._check(DNF.false()) == []
+
+    def test_single_variable_is_connected(self):
+        one = DNF.from_sets([{"a": True}])
+        both = DNF.from_sets([{"a": True}, {"a": False}])
+        assert self._check(one) == [one]
+        assert self._check(both) == [both]
+
+    def test_all_singletons_split_in_repr_order(self):
+        dnf = DNF.from_sets([{"c": True}, {"a": True}, {"b": False}])
+        parts = self._check(dnf)
+        assert [sorted(part.variables) for part in parts] == [
+            ["a"], ["b"], ["c"]
+        ]
 
 class TestIndependentAnd:
     def test_simple_product(self):

@@ -1,5 +1,7 @@
 """Unit tests for DNF formulas (repro.core.dnf)."""
 
+import random
+
 import pytest
 
 from repro.core.dnf import DNF
@@ -197,3 +199,50 @@ class TestIntrospection:
         right = DNF.from_sets([{"y": True}, {"x": True}])
         assert left == right
         assert hash(left) == hash(right)
+
+
+class TestConstantTimeChecks:
+    """``is_true`` is a hash probe and ``variable_id_frequencies`` is
+    counted once per DNF; both must agree with the plain definitions."""
+
+    def test_is_true_on_true_constant(self):
+        assert DNF.true().is_true()
+        assert not DNF.false().is_true()
+
+    def test_is_true_after_union_with_empty_clause(self):
+        dnf = DNF.from_sets([{"x": True}, {"y": False}])
+        assert not dnf.is_true()
+        assert dnf.union(DNF.true()).is_true()
+        assert DNF.true().union(dnf).is_true()
+
+    def test_is_true_after_restrict_empties_a_clause(self):
+        dnf = DNF.from_sets([{"x": True}, {"y": True, "z": True}])
+        assert dnf.restrict("x", True).is_true()
+        assert not dnf.restrict("x", False).is_true()
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_is_true_matches_clause_scan(self, seed):
+        rng = random.Random(seed)
+        names = ["x", "y", "z", "v"]
+        clauses = []
+        for _ in range(rng.randint(0, 5)):
+            picked = rng.sample(names, rng.randint(0, 3))
+            clauses.append(Clause({name: rng.random() < 0.5
+                                   for name in picked}))
+        dnf = DNF(clauses)
+        for candidate in (dnf, dnf.restrict("x", True),
+                          dnf.restrict("y", False), dnf.remove_subsumed()):
+            assert candidate.is_true() == any(
+                clause.is_empty() for clause in candidate
+            )
+
+    def test_frequencies_are_a_fresh_copy(self):
+        dnf = DNF.from_sets(
+            [{"x": True, "y": True}, {"x": True, "z": True}, {"z": False}]
+        )
+        first = dnf.variable_id_frequencies()
+        expected = dict(first)
+        first.clear()
+        first[-1] = 99
+        assert dnf.variable_id_frequencies() == expected
+        assert dnf.variable_frequencies() == {"x": 2, "y": 1, "z": 2}

@@ -15,6 +15,7 @@ from repro.core.approx import RELATIVE, approximate_probability
 from repro.core.bounds import independent_bounds
 from repro.core.compiler import compile_dnf
 from repro.core.decompositions import (
+    ShannonBranch,
     independent_and_factorization,
     independent_or_partition,
     shannon_expansion,
@@ -108,6 +109,51 @@ def products(draw):
     return product, registry, factors
 
 
+#: Multi-valued variables next to the Boolean ones: a 3-valued and a
+#: 4-valued domain, so Shannon pivots with ≥3 branches occur.
+MULTI_DOMAINS = {"m3": (0, 1, 2), "m4": ("a", "b", "c", "d")}
+
+
+@st.composite
+def reduced_instances(draw, max_clauses=8):
+    """A subsumption-free (DNF, registry) pair mixing Boolean and
+    multi-valued variables — the inputs a d-tree Shannon-expands."""
+    registry = VariableRegistry()
+    domains = {name: (True, False) for name in VARIABLES[:5]}
+    domains.update(MULTI_DOMAINS)
+    for name, domain in domains.items():
+        weights = [
+            draw(st.floats(min_value=0.05, max_value=1.0)) for _ in domain
+        ]
+        total = sum(weights)
+        registry.add_variable(
+            name, {value: weight / total for value, weight in zip(domain, weights)}
+        )
+    clauses = []
+    for _ in range(draw(st.integers(min_value=1, max_value=max_clauses))):
+        names = draw(
+            st.lists(
+                st.sampled_from(sorted(domains)),
+                min_size=1,
+                max_size=4,
+                unique=True,
+            )
+        )
+        clauses.append(
+            Clause({name: draw(st.sampled_from(domains[name]))
+                    for name in names})
+        )
+    return DNF(clauses).remove_subsumed(), registry
+
+
+def _mark_is_sound(branch):
+    """The ``reduced`` contract: a marked cofactor is subsumption-free."""
+    return (
+        not branch.reduced
+        or branch.cofactor.remove_subsumed() == branch.cofactor
+    )
+
+
 COMMON = dict(
     max_examples=60,
     deadline=None,
@@ -194,6 +240,71 @@ class TestDecompositions:
         assert math.isclose(
             total, brute_force_probability(dnf, registry), abs_tol=1e-9
         )
+
+
+class TestShannonReducedMark:
+    @given(reduced_instances(), st.data())
+    @settings(**COMMON)
+    def test_marked_cofactors_are_subsumption_free(self, pair, data):
+        dnf, registry = pair
+        assume(dnf.variables)
+        pivot = data.draw(st.sampled_from(sorted(dnf.variables)))
+        for branch in shannon_expansion(dnf, pivot, registry):
+            assert _mark_is_sound(branch)
+            # The mark is exact on reduced inputs: an unmarked cofactor
+            # really does lose a clause to subsumption.
+            assert branch.reduced == (
+                branch.cofactor.remove_subsumed() == branch.cofactor
+            )
+            assert branch.cofactor == dnf.restrict(pivot, branch.value)
+
+    def test_multivalued_pivot_marks_each_branch(self):
+        registry = VariableRegistry()
+        registry.add_variable("m3", {0: 0.2, 1: 0.3, 2: 0.5})
+        for name in ("v0", "v1", "v2"):
+            registry.add_boolean(name, 0.5)
+        dnf = DNF.from_sets(
+            [{"m3": 0, "v0": True}, {"m3": 1, "v1": True},
+             {"m3": 2, "v0": True, "v2": True}, {"v1": True, "v2": True}]
+        )
+        assert dnf.remove_subsumed() == dnf
+        branches = shannon_expansion(dnf, "m3", registry)
+        assert [branch.value for branch in branches] == [0, 1, 2]
+        assert all(_mark_is_sound(branch) for branch in branches)
+        # Only m3=1 strips a clause, {v1}, that lies inside the unchanged
+        # {v1, v2}.
+        assert [branch.reduced for branch in branches] == [
+            True, False, True
+        ]
+
+    def test_stripped_clause_inside_unchanged_one_is_not_marked(self):
+        # {x, a} ∨ {a, b} split on x: x=True strips {x, a} to {a}, which
+        # lies inside the unchanged {a, b}.
+        registry = VariableRegistry.from_boolean_probabilities(
+            {name: 0.5 for name in ("x", "a", "b")}
+        )
+        dnf = DNF.from_sets(
+            [{"x": True, "a": True}, {"a": True, "b": True}]
+        )
+        assert dnf.remove_subsumed() == dnf
+        by_value = {
+            branch.value: branch
+            for branch in shannon_expansion(dnf, "x", registry)
+        }
+        positive = by_value[True]
+        assert not positive.reduced
+        assert positive.cofactor.remove_subsumed() != positive.cofactor
+        assert by_value[False].reduced  # no stripped clause at all
+        # Mutation check: forcing the mark must break the property.
+        forced = ShannonBranch(
+            positive.variable,
+            positive.value,
+            positive.probability,
+            positive.cofactor,
+            reduced=True,
+        )
+        assert _mark_is_sound(positive)
+        assert not _mark_is_sound(forced)
 
 
 class TestBoundsProperty:
